@@ -23,7 +23,8 @@ from .measures import (
     pb_descriptor,
     zero_descriptor,
 )
-from .model import DualGraphModel, arithmetic_genus, require_valid, total_mark_degree
+from .model import (DualGraphModel, arithmetic_genus, is_connected, require_valid,
+                    total_mark_degree)
 from .reduction import StableDualGraph, is_minimal, stable_dual_graph
 
 __all__ = [
@@ -56,13 +57,19 @@ class DimensionSummary:
 def dimension_summary(model: DualGraphModel, m: int | None = None) -> DimensionSummary:
     """Count sections globally and per component, checking the split.
 
-    The total (2m-1)(g-1) + deg B must equal the number of stable-graph
-    edges plus the per-component section counts; a mismatch is a hard
-    internal error, never a tolerance matter.
+    The model must be minimal (a model with contractible tails raises
+    ModelValidationError).  The total (2m-1)(g-1) + deg B must equal the
+    number of stable-graph edges plus the per-component section counts; a
+    mismatch is a hard internal error, never a tolerance matter.
     """
     if m is not None:
         model = model.with_params(m)
     require_valid(model)
+    if not is_minimal(model):
+        raise ModelValidationError(
+            "model is not minimal: contract it with minimal_snc_model first; "
+            "the section count splits over the minimal model only"
+        )
     mm = model.params.m
     g = arithmetic_genus(model)
     deg = total_mark_degree(model)
@@ -313,21 +320,9 @@ def stable_curve_ns_measure(graph: StableDualGraph, m: int | None = None) -> Fib
         raise ModelValidationError(f"m must be at least 2, got {mm}")
     if any(d != 0 for d in graph.mark_degree.values()):
         raise ModelValidationError("stable curve measure is defined without marks")
-    if len(graph.vertices) > 1:
-        adj = {v: set() for v in graph.vertices}
-        for ch in graph.chains:
-            a, b = ch.endpoints
-            adj[a].add(b)
-            adj[b].add(a)
-        seen = {graph.vertices[0]}
-        stack = [graph.vertices[0]]
-        while stack:
-            for u in adj[stack.pop()]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        if len(seen) != len(graph.vertices):
-            raise ModelValidationError("stable curve graph is disconnected")
+    if graph.vertices and not is_connected(
+            graph.vertices, (ch.endpoints for ch in graph.chains)):
+        raise ModelValidationError("stable curve graph is disconnected")
     g = (sum(graph.genus.values()) + len(graph.chains)
          - len(graph.vertices) + 1)
     if g < 2:

@@ -3,9 +3,11 @@
 A model records the combinatorial fiber of a one-parameter family over a
 punctured disk: irreducible components with genus and multiplicity, nodes
 as edges between distinct components (never loops), and marked points with
-integer coefficients.  Everything is immutable and all derived quantities
-(valency, edge lengths, genus) are recomputed from scratch, so values can
-be shared freely across threads.
+integer coefficients.  Everything is immutable, so values can be shared
+freely across threads.  Each model builds one incidence index when it is
+constructed (the edges and the marks at every component, valencies, mark
+degrees and the mark groups by coincident location), so the per-component
+lookups are dictionary reads rather than scans over all edges or marks.
 
 Edge lengths are 1/(a*b) for endpoint multiplicities a, b, kept as exact
 fractions throughout.
@@ -13,6 +15,7 @@ fractions throughout.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -32,6 +35,7 @@ __all__ = [
     "arithmetic_genus",
     "total_mark_degree",
     "is_inessential",
+    "is_connected",
     "canonical_form",
     "is_isomorphic",
 ]
@@ -123,6 +127,7 @@ class DualGraphModel:
             if c.id in by_id:
                 raise ValueError(f"duplicate component id {c.id}")
             by_id[c.id] = c
+        incident: dict[str, list[Edge]] = {cid: [] for cid in by_id}
         edge_by_id = {}
         for e in self.edges:
             if e.id in by_id or e.id in edge_by_id:
@@ -130,7 +135,12 @@ class DualGraphModel:
             for v in e.endpoints:
                 if v not in by_id:
                     raise ValueError(f"edge {e.id}: unknown component {v}")
+                incident[v].append(e)
             edge_by_id[e.id] = e
+        marks_on: dict[str, list[MarkedPoint]] = {cid: [] for cid in by_id}
+        degree = dict.fromkeys(by_id, 0)
+        locations: dict[tuple[str, str], list[MarkedPoint]] = {}
+        groups_on: dict[str, list[list[MarkedPoint]]] = {cid: [] for cid in by_id}
         mark_by_id = {}
         for p in self.marks:
             if p.id in by_id or p.id in edge_by_id or p.id in mark_by_id:
@@ -138,9 +148,23 @@ class DualGraphModel:
             if p.host not in by_id:
                 raise ValueError(f"mark {p.id}: unknown host {p.host}")
             mark_by_id[p.id] = p
+            marks_on[p.host].append(p)
+            degree[p.host] += p.coefficient
+            key = (p.host, p.merge_group if p.merge_group else p.id)
+            if key not in locations:
+                locations[key] = []
+                groups_on[p.host].append(locations[key])
+            locations[key].append(p)
         object.__setattr__(self, "_components", by_id)
         object.__setattr__(self, "_edges", edge_by_id)
         object.__setattr__(self, "_marks", mark_by_id)
+        object.__setattr__(self, "_incident",
+                           {cid: tuple(es) for cid, es in incident.items()})
+        object.__setattr__(self, "_marks_on",
+                           {cid: tuple(ps) for cid, ps in marks_on.items()})
+        object.__setattr__(self, "_mark_degree", degree)
+        object.__setattr__(self, "_locations", locations)
+        object.__setattr__(self, "_groups_on", groups_on)
 
     # -- lookups ---------------------------------------------------------
 
@@ -157,18 +181,18 @@ class DualGraphModel:
         return tuple(c.id for c in self.components)
 
     def edges_at(self, cid: str) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if cid in e.endpoints)
+        return self._incident[cid]
 
     def valency(self, cid: str) -> int:
         """Number of nodes on the component, counting multi-edges."""
-        return sum(e.endpoints.count(cid) for e in self.edges)
+        return len(self._incident[cid])
 
     def marks_on(self, cid: str) -> tuple[MarkedPoint, ...]:
-        return tuple(p for p in self.marks if p.host == cid)
+        return self._marks_on[cid]
 
     def mark_degree(self, cid: str) -> int:
         """Total mark coefficient carried by the component."""
-        return sum(p.coefficient for p in self.marks if p.host == cid)
+        return self._mark_degree[cid]
 
     def edge_length(self, eid: str) -> Fraction:
         e = self._edges[eid]
@@ -195,11 +219,7 @@ class DualGraphModel:
         Ungrouped marks sit at their own generic points and come back as
         singleton entries keyed by their own id.
         """
-        out: dict[tuple[str, str | None], list[MarkedPoint]] = {}
-        for p in self.marks:
-            key = (p.host, p.merge_group if p.merge_group else p.id)
-            out.setdefault(key, []).append(p)
-        return out
+        return {key: list(group) for key, group in self._locations.items()}
 
 
 def make_model(m, vertices, edges=(), marks=(), provenance=()) -> DualGraphModel:
@@ -240,27 +260,29 @@ def make_model(m, vertices, edges=(), marks=(), provenance=()) -> DualGraphModel
 # -- basic invariants ------------------------------------------------------
 
 
-def _connected(model: DualGraphModel) -> bool:
-    if not model.components:
+def is_connected(vertices, pairs) -> bool:
+    """True when the graph on ``vertices`` with edges ``pairs`` (endpoint
+    pairs, closed edges allowed) is connected and nonempty."""
+    vertices = list(vertices)
+    if not vertices:
         return False
-    adj: dict[str, set[str]] = {c.id: set() for c in model.components}
-    for e in model.edges:
-        a, b = e.endpoints
+    adj: dict[str, set[str]] = {v: set() for v in vertices}
+    for a, b in pairs:
         adj[a].add(b)
         adj[b].add(a)
-    seen = {model.components[0].id}
-    stack = [model.components[0].id]
+    seen = {vertices[0]}
+    stack = [vertices[0]]
     while stack:
         for u in adj[stack.pop()]:
             if u not in seen:
                 seen.add(u)
                 stack.append(u)
-    return len(seen) == len(model.components)
+    return len(seen) == len(adj)
 
 
 def arithmetic_genus(model: DualGraphModel) -> int:
     """Genus of the fiber: sum of component genera plus independent cycles."""
-    if not _connected(model):
+    if not is_connected(model.component_ids(), (e.endpoints for e in model.edges)):
         raise ModelValidationError("arithmetic genus needs a connected model")
     return (sum(c.genus for c in model.components)
             + len(model.edges) - len(model.components) + 1)
@@ -326,7 +348,7 @@ def validate(model: DualGraphModel) -> ValidationReport:
                 p.id,
             ))
 
-    if not _connected(model):
+    if not is_connected(model.component_ids(), (e.endpoints for e in model.edges)):
         errors.append(Violation("disconnected", "model must be connected"))
         return ValidationReport(tuple(errors), tuple(warnings))
 
@@ -384,63 +406,289 @@ def require_valid(model: DualGraphModel) -> None:
 # -- canonical form and isomorphism ----------------------------------------
 
 
-def _color(model: DualGraphModel, cid: str):
-    c = model.component(cid)
-    # Mark partition by coincident location; singleton groups are the same
-    # shape as never-moved marks, so both normalize to singletons.
-    groups = sorted(
-        tuple(sorted(p.coefficient for p in grp))
-        for (host, _), grp in model.mark_locations().items()
-        if host == cid
-    )
-    return (c.genus, c.multiplicity, tuple(groups))
+def _colors(model: DualGraphModel) -> dict[str, tuple]:
+    """Starting color per component: genus, multiplicity, mark-group shape.
+
+    Marks are grouped by coincident location; singleton groups are the same
+    shape as never-moved marks, so both normalize to singletons.
+    """
+    return {
+        c.id: (c.genus, c.multiplicity,
+               tuple(sorted(tuple(sorted(p.coefficient for p in grp))
+                            for grp in model._groups_on[c.id])))
+        for c in model.components
+    }
+
+
+class _Partition:
+    """Ordered partition of the vertices 0..n-1, stored as in nauty.
+
+    ``lab`` lists the vertices and ``pos`` inverts it; each cell is the
+    slice lab[s:end[s]] and is named by its start s; ``cell[v]`` is the
+    start of v's cell.  Splitting a cell keeps its parts inside its slice,
+    so a start never moves and is a relabeling-invariant name for the cell.
+    """
+
+    __slots__ = ("lab", "pos", "cell", "end")
+
+    def __init__(self, lab: list[int], pos: list[int], cell: list[int],
+                 end: list[int]):
+        self.lab = lab
+        self.pos = pos
+        self.cell = cell
+        self.end = end
+
+    def copy(self) -> "_Partition":
+        return _Partition(self.lab[:], self.pos[:], self.cell[:], self.end[:])
+
+    def _swap(self, i: int, j: int) -> None:
+        lab, pos = self.lab, self.pos
+        lab[i], lab[j] = lab[j], lab[i]
+        pos[lab[i]] = i
+        pos[lab[j]] = j
+
+    def refine(self, nbrs: list[list[tuple[int, int]]], splitters) -> None:
+        """Split cells until each one meets every cell uniformly.
+
+        A vertex's signature against a splitter cell is the sorted tuple of
+        the multiplicities of its edges into that cell.  A split cell keeps
+        its untouched vertices (empty signature) at the front of its slice
+        and puts the touched ones after them, grouped by signature in
+        order, so a split costs only the touched vertices.  All parts but
+        the first largest join the queue (all of them if the cell was
+        waiting), as in Hopcroft's partition refinement.
+        """
+        lab, cell, end = self.lab, self.cell, self.end
+        queue = deque(splitters)
+        waiting = set(splitters)
+        while queue:
+            w = queue.popleft()
+            waiting.discard(w)
+            into: dict[int, list[int]] = {}
+            for u in lab[w:end[w]]:
+                for v, k in nbrs[u]:
+                    into.setdefault(v, []).append(k)
+            touched: dict[int, list[int]] = {}
+            for v in into:
+                touched.setdefault(cell[v], []).append(v)
+            for s in sorted(touched):
+                e = end[s]
+                group = touched[s]
+                sigs = {v: tuple(sorted(into[v])) for v in group}
+                if len(group) == e - s and len(set(sigs.values())) == 1:
+                    continue
+                b = e  # move the touched vertices to lab[b:e]
+                for v in group:
+                    b -= 1
+                    self._swap(self.pos[v], b)
+                group.sort(key=sigs.__getitem__)
+                starts = [s] if b > s else []
+                end[s] = b
+                for i, v in enumerate(group, b):
+                    lab[i] = v
+                    self.pos[v] = i
+                    if i == b or sigs[v] != sigs[group[i - b - 1]]:
+                        starts.append(i)
+                    cell[v] = starts[-1]
+                for t, t_end in zip(starts, starts[1:] + [e]):
+                    end[t] = t_end
+                if s not in waiting:
+                    starts.remove(max(starts, key=lambda t: (end[t] - t, -t)))
+                for t in starts:
+                    if t not in waiting:
+                        waiting.add(t)
+                        queue.append(t)
+
+    def individualize(self, v: int) -> int:
+        """Split v off the front of its cell; returns the start of {v}."""
+        s = self.cell[v]
+        e = self.end[s]
+        self._swap(self.pos[v], s)
+        self.end[s] = s + 1
+        self.end[s + 1] = e
+        for u in self.lab[s + 1:e]:
+            self.cell[u] = s + 1
+        return s
+
+    def target(self, twin: list[int]) -> int | None:
+        """Start of the first smallest non-singleton cell, or None at a leaf.
+
+        A partition is a leaf when every non-singleton cell holds mutual
+        twins: all orderings inside such cells differ by automorphisms, so
+        the numbering by ``lab`` stands for every leaf below.
+        """
+        lab, end = self.lab, self.end
+        best = None
+        leaf = True
+        s = 0
+        while s < len(lab):
+            e = end[s]
+            if e - s > 1:
+                if best is None or e - s < end[best] - best:
+                    best = s
+                if leaf and any(twin[v] != twin[lab[s]] for v in lab[s + 1:e]):
+                    leaf = False
+            s = e
+        return None if leaf else best
+
+
+class _Node:
+    """A search-tree node: its partition, the individualized vertices that
+    led to it, and the children of its target cell still to visit.
+
+    Children in one orbit of the automorphisms found so far that fix
+    ``prefix`` pointwise have equal subtrees up to that automorphism, so
+    only one child per orbit is visited.  Orbits are kept by union-find.
+    An automorphism is a dict from each vertex it moves to its image.
+    """
+
+    __slots__ = ("part", "prefix", "cands", "next", "visited", "root", "seen")
+
+    def __init__(self, part: _Partition, prefix: frozenset[int], s: int,
+                 twin: list[int]):
+        self.part = part
+        self.prefix = prefix
+        self.cands = part.lab[s:part.end[s]]
+        self.next = 0
+        self.visited: list[int] = []
+        # twins are swapped by an automorphism fixing all else: one orbit
+        first = {}
+        self.root = {v: first.setdefault(twin[v], v) for v in self.cands}
+        self.seen = 0  # automorphisms already merged into the orbits
+
+    def _find(self, v: int) -> int:
+        root = self.root
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    def next_child(self, autos: list[dict[int, int]]) -> int | None:
+        if self.visited:
+            for gamma in autos[self.seen:]:
+                if self.prefix.isdisjoint(gamma):
+                    # gamma fixes this node, so it maps the cell to itself
+                    for v, image in gamma.items():
+                        if v in self.root:
+                            self.root[self._find(v)] = self._find(image)
+            self.seen = len(autos)
+        while self.next < len(self.cands):
+            v = self.cands[self.next]
+            self.next += 1
+            rv = self._find(v)
+            if all(self._find(u) != rv for u in self.visited):
+                self.visited.append(v)
+                return v
+        return None
+
+
+def _certificate(pos: list[int], pairs: dict[tuple[int, int], int]):
+    """Sorted edge encoding (i, j, multiplicity) under the numbering pos."""
+    return tuple(sorted(
+        (min(pos[a], pos[b]), max(pos[a], pos[b]), k)
+        for (a, b), k in pairs.items()
+    ))
+
+
+def _common_prefix(a, b) -> int:
+    n = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        n += 1
+    return n
+
+
+def _canonical_form(model: DualGraphModel, colors: dict[str, tuple]):
+    ids = sorted(colors)
+    number = {cid: i for i, cid in enumerate(ids)}
+    pairs: dict[tuple[int, int], int] = {}
+    for e in model.edges:
+        a, b = sorted((number[e.endpoints[0]], number[e.endpoints[1]]))
+        pairs[a, b] = pairs.get((a, b), 0) + 1
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in ids]
+    for (a, b), k in pairs.items():
+        nbrs[a].append((b, k))
+        nbrs[b].append((a, k))
+    col = [colors[cid] for cid in ids]
+
+    # Vertices of one color with the same neighbors (multiplicities
+    # included) are twins: swapping two of them is an automorphism that
+    # fixes every other vertex.  twin[v] names v's class.
+    classes: dict[tuple, int] = {}
+    twin = [classes.setdefault((col[v], tuple(sorted(nbrs[v]))), v)
+            for v in range(len(ids))]
+
+    # Start from the cells of equal color, in color order, and refine.
+    lab = sorted(range(len(ids)), key=col.__getitem__)
+    pos = [0] * len(ids)
+    cell = [0] * len(ids)
+    end = [0] * len(ids)
+    starts: list[int] = []
+    for i, v in enumerate(lab):
+        if i == 0 or col[v] != col[lab[i - 1]]:
+            starts.append(i)
+        pos[v] = i
+        cell[v] = starts[-1]
+    for s, e in zip(starts, starts[1:] + [len(ids)]):
+        end[s] = e
+    part = _Partition(lab, pos, cell, end)
+    part.refine(nbrs, starts)
+
+    # Depth-first over individualizations.  A leaf whose certificate equals
+    # the first or the best leaf's yields an automorphism, and the search
+    # returns to the node where the two paths split: the subtree it left
+    # is the image of one already searched.
+    first = best = None  # (certificate, leaf numbering, path)
+    autos: list[dict[int, int]] = []
+    stack: list[_Node] = []
+    path: list[int] = []
+    while True:
+        s = part.target(twin)
+        if s is not None:
+            stack.append(_Node(part, frozenset(path), s, twin))
+        else:
+            cert = _certificate(part.pos, pairs)
+            keep = len(stack)
+            if first is None:
+                first = best = (cert, part.lab, tuple(path))
+            elif cert == first[0] or cert == best[0]:
+                ref = first if cert == first[0] else best
+                autos.append({u: v for u, v in zip(ref[1], part.lab) if u != v})
+                keep = _common_prefix(path, ref[2]) + 1
+            elif cert < best[0]:
+                best = (cert, part.lab, tuple(path))
+            del stack[keep:]
+        while stack:
+            v = stack[-1].next_child(autos)
+            if v is not None:
+                break
+            stack.pop()
+        if not stack:
+            return tuple(sorted(col)), best[0]
+        path[len(stack) - 1:] = [v]
+        part = stack[-1].part.copy()
+        part.refine(nbrs, [part.individualize(v)])
 
 
 def canonical_form(model: DualGraphModel):
     """A relabeling-invariant encoding of the marked graph.
 
-    Brute force over color-respecting relabelings with incremental pruning;
-    models here are small, and colors cut the search hard.
+    Individualization-refinement (McKay & Piperno, "Practical graph
+    isomorphism, II", 2014).  Components start in cells of equal color
+    (genus, multiplicity, mark-group shape), and cells are refined by the
+    multiplicities of the edges into each other cell.  The search then
+    individualizes each vertex of the first smallest non-singleton cell in
+    turn and refines again, down to discrete partitions.  Each leaf numbers
+    the components by position, and the encoding keeps the lexicographically
+    least sorted edge list over all leaves.  Children that lie in one orbit
+    of the automorphisms found so far are visited once, and a leaf that
+    repeats an earlier certificate sends the search back to where the two
+    paths split.  Twins (one color, the same neighbors) are interchangeable,
+    so a partition whose remaining cells hold only twins is already a leaf;
+    this keeps stars and banks of rational tails to a single path.
     """
-    ids = sorted(model.component_ids())
-    colors = {cid: _color(model, cid) for cid in ids}
-    classes: dict[object, list[str]] = {}
-    for cid in ids:
-        classes.setdefault(colors[cid], []).append(cid)
-    ordered_classes = [classes[k] for k in sorted(classes.keys())]
-
-    work = 1
-    for cls in ordered_classes:
-        for k in range(2, len(cls) + 1):
-            work *= k
-    if work > 500_000:
-        raise ValueError(
-            "canonical form is brute force and this model's color classes "
-            "are too symmetric; intended for small models only"
-        )
-
-    edge_mult: dict[tuple[str, str], int] = {}
-    for e in model.edges:
-        key = tuple(sorted(e.endpoints))
-        edge_mult[key] = edge_mult.get(key, 0) + 1
-
-    best = None
-    for perms in itertools.product(
-        *(itertools.permutations(cls) for cls in ordered_classes)
-    ):
-        number: dict[str, int] = {}
-        n = 0
-        for cls in perms:
-            for cid in cls:
-                number[cid] = n
-                n += 1
-        enc = tuple(sorted(
-            (min(number[a], number[b]), max(number[a], number[b]), k)
-            for (a, b), k in edge_mult.items()
-        ))
-        if best is None or enc < best:
-            best = enc
-    color_sig = tuple(sorted(colors.values()))
+    color_sig, best = _canonical_form(model, _colors(model))
     return (model.params.m, color_sig, best)
 
 
@@ -451,4 +699,7 @@ def is_isomorphic(a: DualGraphModel, b: DualGraphModel) -> bool:
     if (len(a.components), len(a.edges), len(a.marks)) != (
             len(b.components), len(b.edges), len(b.marks)):
         return False
-    return canonical_form(a) == canonical_form(b)
+    ca, cb = _colors(a), _colors(b)
+    if sorted(ca.values()) != sorted(cb.values()):
+        return False
+    return _canonical_form(a, ca) == _canonical_form(b, cb)

@@ -8,6 +8,7 @@ Measures push forward along the steps and lift against them.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -156,34 +157,16 @@ def _contractible(model: DualGraphModel, m: int, cid: str) -> bool:
             and model.mark_degree(cid) < m)
 
 
-def _contract_leaf(model: DualGraphModel, cid: str) -> tuple[DualGraphModel, SmoothCollapse]:
-    edge = model.edges_at(cid)[0]
-    host = edge.endpoints[0] if edge.endpoints[1] == cid else edge.endpoints[1]
-    location = _fresh_id(f"pt_{cid}", _all_ids(model))
-    moved = tuple(p.id for p in model.marks_on(cid))
-    marks = []
-    for p in model.marks:
-        if p.host == cid:
-            # everything on the leaf lands at one point of the host
-            marks.append(MarkedPoint(p.id, host, p.coefficient, location))
-        else:
-            marks.append(p)
-    out = DualGraphModel(
-        model.params,
-        tuple(c for c in model.components if c.id != cid),
-        tuple(e for e in model.edges if e.id != edge.id),
-        tuple(marks),
-        model.provenance + (f"contract:{cid}->{host}@{location}",),
-    )
-    return out, SmoothCollapse(cid, edge.id, host, location, moved)
-
-
 def minimal_snc_model(model: DualGraphModel, m: int | None = None) -> tuple[DualGraphModel, DominationMap]:
     """Contract unmarked-enough rational tails until none remain.
 
     Repeatedly removes a genus-0, valency-1 component whose mark degree is
     below m, lowest id first; its marks land together at one point of the
     neighbor.  Returns the reduced model and the map from the input onto it.
+
+    Contractible ids wait in a heap.  A contraction changes only its host,
+    so the host is the one component re-checked after each step, and the
+    reduced model is built once at the end.
     """
     if m is not None:
         model = model.with_params(m)
@@ -192,25 +175,69 @@ def minimal_snc_model(model: DualGraphModel, m: int | None = None) -> tuple[Dual
         raise ModelValidationError(
             "contraction needs a semistable (multiplicity-1) model"
         )
-    current = model
+    mm = model.params.m
+    live = {c.id: {e.id: e for e in model.edges_at(c.id)} for c in model.components}
+    degree = {c.id: model.mark_degree(c.id) for c in model.components}
+    carried: dict[str, list[int]] = {cid: [] for cid in live}  # mark indices
+    for i, p in enumerate(model.marks):
+        carried[p.host].append(i)
+    moved_to: dict[int, tuple[str, str]] = {}  # mark index -> (host, point id)
+    used = _all_ids(model)  # ids of the current model, for fresh point ids
+
+    def contractible(cid: str) -> bool:
+        return (model.component(cid).genus == 0 and len(live[cid]) == 1
+                and degree[cid] < mm)
+
+    heap = [cid for cid in live if contractible(cid)]
+    heapq.heapify(heap)
     steps: list[SmoothCollapse] = []
-    mm = current.params.m
-    while True:
-        todo = sorted(
-            c.id for c in current.components if _contractible(current, mm, c.id)
+    events: list[str] = []
+    while heap:
+        cid = heapq.heappop(heap)
+        if cid not in live or not contractible(cid):
+            continue
+        (edge,) = live.pop(cid).values()
+        host = edge.endpoints[0] if edge.endpoints[1] == cid else edge.endpoints[1]
+        del live[host][edge.id]
+        location = _fresh_id(f"pt_{cid}", used)
+        used.discard(cid)
+        used.discard(edge.id)
+        # everything on the leaf lands at one point of the host
+        moved = sorted(carried.pop(cid))
+        for i in moved:
+            moved_to[i] = (host, location)
+        carried[host].extend(moved)
+        degree[host] += degree.pop(cid)
+        steps.append(SmoothCollapse(cid, edge.id, host, location,
+                                    tuple(model.marks[i].id for i in moved)))
+        events.append(f"contract:{cid}->{host}@{location}")
+        if contractible(host):
+            heapq.heappush(heap, host)
+
+    reduced = model
+    if steps:
+        gone = {step.edge for step in steps}
+        marks = []
+        for i, p in enumerate(model.marks):
+            if i in moved_to:
+                host, location = moved_to[i]
+                p = MarkedPoint(p.id, host, p.coefficient, location)
+            marks.append(p)
+        reduced = DualGraphModel(
+            model.params,
+            tuple(c for c in model.components if c.id in live),
+            tuple(e for e in model.edges if e.id not in gone),
+            tuple(marks),
+            model.provenance + tuple(events),
         )
-        if not todo:
-            break
-        current, step = _contract_leaf(current, todo[0])
-        steps.append(step)
-    if len(current.components) == 1:
-        only = current.components[0]
-        if only.genus == 0 and current.mark_degree(only.id) < 2 * mm:
+    if len(reduced.components) == 1:
+        only = reduced.components[0]
+        if only.genus == 0 and reduced.mark_degree(only.id) < 2 * mm:
             raise ModelValidationError(
                 "contraction ended on a single rational component with "
                 "total mark degree below 2m; no minimal model exists"
             )
-    return current, DominationMap(model, current, tuple(steps))
+    return reduced, DominationMap(model, reduced, tuple(steps))
 
 
 def is_minimal(model: DualGraphModel, m: int | None = None) -> bool:

@@ -159,3 +159,53 @@ def roundtrip_corpus(seed: int = 1105, count: int = 50) -> list[DualGraphModel]:
     while len(out) < count:
         out.append(random_minimal_model(rng))
     return out[:count]
+
+
+def comb_model(n: int, seed: int = 0) -> DualGraphModel:
+    """Genus-2 pair joined by a chain of n rational bridges, each bridge
+    carrying one unmarked rational tail (m = 2).  Component ids are
+    shuffled, so the contraction order does not follow the chain."""
+    rng = random.Random(seed)
+    names = [f"c{k}" for k in range(2 * n + 2)]
+    rng.shuffle(names)
+    ends, bridges, tails = names[:2], names[2:n + 2], names[n + 2:]
+    chain = [ends[0], *bridges, ends[1]]
+    vertices = [(v, 2) for v in ends] + [(v, 0) for v in bridges + tails]
+    edges = [(f"b{k}", chain[k], chain[k + 1]) for k in range(n + 1)]
+    edges += [(f"t{k}", bridges[k], tails[k]) for k in range(n)]
+    return make_model(2, vertices, edges)
+
+
+def star_model(k: int, seed: int = 0, bumped: int | None = None) -> DualGraphModel:
+    """k elliptic leaves on one rational hub at m = 2, declared in a
+    shuffled order under shuffled ids; ``bumped`` raises one leaf to
+    genus 2."""
+    rng = random.Random(seed)
+    names = [f"v{i}" for i in range(k + 1)]
+    rng.shuffle(names)
+    hub, leaves = names[0], names[1:]
+    vertices = [(hub, 0)] + [(v, 2 if i == bumped else 1)
+                             for i, v in enumerate(leaves)]
+    edges = [(f"s{i}", hub, v) for i, v in enumerate(leaves)]
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    return make_model(2, vertices, edges)
+
+
+def relabeled(model: DualGraphModel, rng: random.Random) -> DualGraphModel:
+    """The same marked graph under fresh shuffled ids and declaration order."""
+    ids = ([c.id for c in model.components] + [e.id for e in model.edges]
+           + [p.id for p in model.marks])
+    fresh = [f"R{k}" for k in range(len(ids))]
+    rng.shuffle(fresh)
+    new = dict(zip(ids, fresh))
+    vertices = [(new[c.id], c.genus, c.multiplicity) for c in model.components]
+    edges = [(new[e.id], new[e.endpoints[0]], new[e.endpoints[1]])
+             for e in model.edges]
+    groups = {p.merge_group for p in model.marks if p.merge_group}
+    group_names = dict(zip(sorted(groups), (f"G{k}" for k in range(len(groups)))))
+    marks = [(new[p.id], new[p.host], p.coefficient,
+              group_names.get(p.merge_group)) for p in model.marks]
+    for seq in (vertices, edges, marks):
+        rng.shuffle(seq)
+    return make_model(model.params.m, vertices, edges, marks)

@@ -137,6 +137,17 @@ class TestGraphCommands:
         assert doc["dimension"] == 3
         assert doc["vertex_h0"] == {"E1": 1, "E2": 1}
 
+    def test_dims_rejects_non_minimal_model(self, tmp_path, capsys):
+        # genus-2 vertex with one unmarked rational tail at m = 3
+        p = tmp_path / "tail.cdm"
+        p.write_text("model { m = 3;\n vertex C { genus = 2 };"
+                     " vertex T { genus = 0 };\n edge C -- T }\n")
+        assert main(["dims", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not minimal" in captured.err
+        assert "minimal_snc_model" in captured.err
+
 
 class TestMeasures:
     def test_pb_measure_total(self, files, capsys):

@@ -1,9 +1,10 @@
 """Limit measures on curve complexes and their pushforwards."""
+import random
 from fractions import Fraction
 
 import pytest
 
-from corpus import minimal_corpus
+from corpus import minimal_corpus, random_model_with_tails
 from curvedegen import (
     UNKNOWN,
     Estimate,
@@ -13,9 +14,11 @@ from curvedegen import (
     bundle_for,
     dimension_summary,
     h0,
+    is_minimal,
     large_m_limit_fixed_divisor,
     large_m_limit_fixed_qdivisor,
     make_model,
+    minimal_snc_model,
     mu_infinity_fixed_B,
     mu_infinity_fixed_QB,
     ns_limit_measure,
@@ -106,6 +109,23 @@ class TestPBLimit:
         for model in minimal_corpus(seed=31, count=40):
             mu = pb_limit_measure(model)
             assert mu.total_mass() == dimension_summary(model).M
+
+
+class TestDimensionSummary:
+    def test_non_minimal_models_point_to_reduction(self):
+        rng = random.Random(5)
+        checked = 0
+        for _ in range(60):
+            model = random_model_with_tails(rng)
+            if is_minimal(model):
+                continue
+            with pytest.raises(ModelValidationError, match="minimal_snc_model"):
+                dimension_summary(model)
+            reduced, _ = minimal_snc_model(model)
+            d = dimension_summary(reduced)
+            assert d.M == d.skeleton_edges + sum(d.vertex_h0.values())
+            checked += 1
+        assert checked >= 40
 
 
 class TestPushforwards:
@@ -256,3 +276,9 @@ class TestStableCurveMeasure:
     def test_low_genus_rejected(self):
         with pytest.raises(ModelValidationError, match="genus"):
             stable_curve_ns_measure(stable_graph(2, [("A", 1)], []))
+
+    def test_disconnected_graph_rejected(self):
+        graph = stable_graph(2, [("A", 2), ("B", 2), ("C", 0)],
+                             [("A", "B"), ("C", "C"), ("C", "C")])
+        with pytest.raises(ModelValidationError, match="disconnected"):
+            stable_curve_ns_measure(graph)

@@ -1,0 +1,246 @@
+"""Properties of the exact pipeline over generated models (hypothesis).
+
+Models come from the seeded generators in ``corpus``; hypothesis draws the
+seeds and the extra structure (tails, relabelings, perturbations, blowup
+chains).  The step-by-step contraction loop and the brute-force canonical
+form in ``naive`` serve as oracles.  Runs are derandomized, so every run
+checks the same examples.
+"""
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from corpus import comb_model, random_minimal_model, random_model_with_tails, relabeled
+from curvedegen import (
+    ModelValidationError,
+    arithmetic_genus,
+    blowup_node,
+    blowup_smooth_point,
+    canonical_form,
+    compose_maps,
+    dimension_summary,
+    emit_model,
+    is_isomorphic,
+    lift_measure,
+    make_model,
+    minimal_snc_model,
+    parse_model,
+    pb_limit_measure,
+    pushforward_measure,
+    total_mark_degree,
+)
+from naive import brute_force_is_isomorphic, naive_minimal_snc_model, relabelings
+
+PROPERTY = settings(max_examples=60, derandomize=True, deadline=None,
+                    database=None)
+
+seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
+minimal_models = seeds.map(lambda s: random_minimal_model(random.Random(s)))
+
+
+@st.composite
+def tailed_models(draw):
+    """A minimal core from the corpus plus drawn rational tails: tails may
+    hang on tails, carry marks, and collide with the point ids that
+    contraction invents (``pt_<tail>`` is sometimes already a mark id, or
+    the id of a tail hanging on that tail, which goes first)."""
+    rng = random.Random(draw(seeds))
+    if draw(st.booleans()):
+        return random_model_with_tails(rng)
+    core = random_minimal_model(rng, max_components=6, max_genus=4)
+    m = core.params.m
+    vertices = [(c.id, c.genus) for c in core.components]
+    edges = [(e.id, *e.endpoints) for e in core.edges]
+    marks = [(p.id, p.host, p.coefficient) for p in core.marks]
+    hosts = [c.id for c in core.components]
+    taken = {x[0] for x in vertices + edges + marks}
+    for k in range(draw(st.integers(1, 8))):
+        host = hosts[draw(st.integers(0, len(hosts) - 1))]
+        leaf = f"T{k}"
+        if f"pt_{host}" not in taken and draw(st.booleans()):
+            leaf = f"pt_{host}"
+        vertices.append((leaf, 0))
+        edges.append((f"te{k}", host, leaf))
+        taken |= {leaf, f"te{k}"}
+        for j in range(draw(st.integers(0, 2))):
+            pid = f"pt_T{k + 1}" if draw(st.booleans()) else f"TP{k}_{j}"
+            if pid not in taken:
+                marks.append((pid, leaf, draw(st.integers(1, m - 1))))
+                taken.add(pid)
+        hosts.append(leaf)
+    return make_model(m, vertices, edges, marks)
+
+
+def _same_reduction(model):
+    """The indexed reduction against the step-by-step loop, byte for byte."""
+    reduced, dmap = minimal_snc_model(model)
+    expected, expected_map = naive_minimal_snc_model(model)
+    assert dmap.steps == expected_map.steps
+    assert reduced == expected
+    assert reduced.provenance == expected.provenance
+    assert emit_model(reduced) == emit_model(expected)
+    return reduced, dmap
+
+
+@PROPERTY
+@given(tailed_models())
+def test_reduction_matches_step_by_step_loop(model):
+    try:
+        naive_minimal_snc_model(model)
+    except Exception as err:  # both must refuse the same models
+        try:
+            minimal_snc_model(model)
+        except type(err) as again:
+            assert str(again) == str(err)
+            return
+        raise AssertionError(f"reduction accepted a model the loop refused: {err}")
+    _same_reduction(model)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(st.integers(1, 60), seeds)
+def test_reduction_matches_loop_on_combs(n, seed):
+    reduced, dmap = _same_reduction(comb_model(n, seed))
+    assert len(dmap.steps) == n
+    assert len(reduced.components) == n + 2
+
+
+@PROPERTY
+@given(tailed_models())
+def test_reduction_is_idempotent(model):
+    try:
+        reduced, _ = minimal_snc_model(model)
+    except ModelValidationError:
+        return
+    again, dmap = minimal_snc_model(reduced)
+    assert dmap.steps == ()
+    assert again == reduced
+    assert emit_model(again) == emit_model(reduced)
+
+
+@PROPERTY
+@given(tailed_models())
+def test_dimension_identity_on_reduced_models(model):
+    try:
+        reduced, _ = minimal_snc_model(model)
+    except ModelValidationError:
+        return
+    d = dimension_summary(reduced)
+    m = reduced.params.m
+    expected = (2 * m - 1) * (arithmetic_genus(reduced) - 1) + total_mark_degree(reduced)
+    assert d.M == expected == d.skeleton_edges + sum(d.vertex_h0.values())
+
+
+@PROPERTY
+@given(minimal_models, seeds)
+def test_push_after_lift_is_identity(model, seed):
+    rng = random.Random(seed)
+    mu0 = pb_limit_measure(model)
+    current, mu, full = model, mu0, None
+    for _ in range(rng.randint(1, 4)):
+        if current.edges and rng.random() < 0.5:
+            eid = rng.choice(sorted(e.id for e in current.edges))
+            current, dmap = blowup_node(current, eid)
+        else:
+            cid = rng.choice(sorted(c.id for c in current.components))
+            current, dmap = blowup_smooth_point(current, cid)
+        mu = lift_measure(mu, dmap)
+        full = dmap if full is None else compose_maps(dmap, full)
+    assert lift_measure(mu0, full) == mu
+    assert pushforward_measure(mu, full) == mu0
+
+
+@PROPERTY
+@given(st.one_of(minimal_models, tailed_models()), seeds)
+def test_canonical_form_invariant_under_relabeling(model, seed):
+    other = relabeled(model, random.Random(seed))
+    assert canonical_form(other) == canonical_form(model)
+    assert is_isomorphic(model, other)
+
+
+@PROPERTY
+@given(minimal_models, seeds)
+def test_emit_parse_keeps_the_isomorphism_class(model, seed):
+    other = relabeled(model, random.Random(seed))
+    text = emit_model(other)
+    parsed = parse_model(text).model
+    assert is_isomorphic(parsed, model)
+    assert emit_model(parsed) == text
+
+
+def _perturbed(model, rng):
+    """One genus, mark or edge changed; may or may not stay isomorphic."""
+    vertices = [(c.id, c.genus, c.multiplicity) for c in model.components]
+    edges = [(e.id, *e.endpoints) for e in model.edges]
+    marks = [(p.id, p.host, p.coefficient, p.merge_group) for p in model.marks]
+    names = [v[0] for v in vertices]
+    kind = rng.randrange(5)
+    if kind == 0:
+        i = rng.randrange(len(vertices))
+        vid, g, mult = vertices[i]
+        vertices[i] = (vid, g + 1, mult)
+        j = rng.randrange(len(vertices))  # and lower another, if it can
+        vid, g, mult = vertices[j]
+        vertices[j] = (vid, max(g - 1, 0), mult)
+    elif kind == 1 and marks:
+        i = rng.randrange(len(marks))
+        marks[i] = (marks[i][0], rng.choice(names), *marks[i][2:])
+    elif kind == 2 and marks:
+        i = rng.randrange(len(marks))
+        pid, host, coeff, group = marks[i]
+        marks[i] = (pid, host, max(1, coeff + rng.choice((-1, 1))), group)
+    elif kind == 3 and edges and len(names) > 2:
+        i = rng.randrange(len(edges))
+        eid, a, b = edges[i]
+        c = rng.choice([v for v in names if v != a])
+        edges[i] = (eid, a, c)
+    elif len(names) > 1:
+        a, b = rng.sample(names, 2)
+        edges.append(("extra", a, b))
+    return make_model(model.params.m, vertices, edges, marks)
+
+
+@PROPERTY
+@given(st.one_of(minimal_models, tailed_models()), seeds)
+def test_isomorphism_agrees_with_brute_force(model, seed):
+    rng = random.Random(seed)
+    for other in (relabeled(model, rng), relabeled(_perturbed(model, rng), rng)):
+        if max(relabelings(model), relabelings(other)) > 5040:
+            continue
+        assert is_isomorphic(model, other) == brute_force_is_isomorphic(model, other)
+
+
+def _regular_multigraph(n, degree, rng):
+    """A random degree-regular multigraph on n elliptic components: every
+    vertex has the same color and valency, so only the search can tell
+    two of them apart."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(degree)]
+        rng.shuffle(stubs)
+        pairs = list(zip(stubs[::2], stubs[1::2]))
+        if all(a != b for a, b in pairs):
+            return make_model(2, [(f"V{v}", 1) for v in range(n)],
+                              [(f"V{a}", f"V{b}") for a, b in pairs])
+
+
+@PROPERTY
+@given(st.sampled_from([(5, 2), (6, 2), (6, 3), (6, 4), (7, 2)]), seeds)
+def test_isomorphism_agrees_with_brute_force_on_regular_graphs(shape, seed):
+    rng = random.Random(seed)
+    a = _regular_multigraph(*shape, rng)
+    b = _regular_multigraph(*shape, rng)
+    assert is_isomorphic(a, b) == brute_force_is_isomorphic(a, b)
+    assert is_isomorphic(a, relabeled(a, rng))
+
+
+@PROPERTY
+@given(st.sampled_from([(9, 4), (10, 3), (12, 3), (12, 5), (16, 3)]), seeds)
+def test_canonical_form_invariant_on_larger_regular_graphs(shape, seed):
+    # past brute-force reach: deeper search trees with several distinct
+    # leaf certificates, so every pruning step is exercised
+    rng = random.Random(seed)
+    model = _regular_multigraph(*shape, rng)
+    form = canonical_form(model)
+    for _ in range(3):
+        assert canonical_form(relabeled(model, rng)) == form
