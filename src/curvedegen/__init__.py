@@ -18,6 +18,7 @@ from .errors import (
 )
 from .density import (
     OptimizerSpec,
+    QuadratureSpec,
     SectionSystem,
     ns_density,
     pairing_matrix,
@@ -41,8 +42,6 @@ from .limits import (
     dimension_summary,
     large_m_limit_fixed_divisor,
     large_m_limit_fixed_qdivisor,
-    mu_infinity_fixed_B,
-    mu_infinity_fixed_QB,
     ns_limit_measure,
     pb_limit_measure,
     pushforward_to_fiber,
@@ -77,12 +76,6 @@ from .model import (
     total_mark_degree,
     validate,
 )
-from .quadrature import (
-    QuadratureSpec,
-    integrate_halfannulus,
-    power_law_density,
-    section_density,
-)
 from .reduction import (
     ChainEdge,
     DominationMap,
@@ -92,7 +85,6 @@ from .reduction import (
     StableDualGraph,
     blowup_node,
     blowup_smooth_point,
-    classify,
     compose_maps,
     essential_skeleton,
     is_minimal,

@@ -7,6 +7,7 @@ deterministic for fixed inputs and seeds, so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from .density import OptimizerSpec
@@ -14,11 +15,11 @@ from .dotio import emit_dot, emit_stable_dot
 from .dsl import emit_model, parse_model
 from .errors import (CurveDegenError, InternalConsistencyError,
                      NumericalConvergenceError, ParseError)
-from .experiments import (norm_asymptotics_experiment, pairing_diag_experiment,
-                          pairing_offdiag_experiment, region_mass_experiment)
+from .experiments import (norm_asymptotics_experiment, pairing_experiments,
+                          region_mass_experiment)
 from .jsonio import (dumps, graph_to_json, map_to_json, measure_to_json,
-                     model_to_json, report_to_json, skeleton_to_json,
-                     summary_to_json)
+                     report_to_json, skeleton_to_json, summary_to_json,
+                     to_jsonable)
 from .laurent import LaurentFamily
 from .limits import (dimension_summary, large_m_limit_fixed_divisor,
                      large_m_limit_fixed_qdivisor, ns_limit_measure,
@@ -183,7 +184,7 @@ def _cmd_verify(args) -> int:
     else:
         base = LaurentFamily.pole(m, chain_length=l)
     if args.experiment == "norm":
-        result = norm_asymptotics_experiment(base, logt_grid)
+        results = [norm_asymptotics_experiment(base, logt_grid)]
     else:
         if l != 1:
             raise ParseError("pairing and region experiments need a single-node "
@@ -191,19 +192,14 @@ def _cmd_verify(args) -> int:
         second = LaurentFamily.from_w_powers(m, {1: 1.0})
         if args.experiment == "region-mass":
             a, b = (float(x) for x in args.region.split(","))
-            result = region_mass_experiment([base, second], (a, b),
-                                            logt_grid=logt_grid, optimizer=opt)
-        elif args.experiment in ("pairing", "pairing-diag"):
-            result = pairing_diag_experiment([base, second], member=0,
-                                             logt_grid=logt_grid, optimizer=opt)
+            results = [region_mass_experiment([base, second], (a, b),
+                                              logt_grid=logt_grid, optimizer=opt)]
         else:
-            result = pairing_offdiag_experiment([base, second], pair=(0, 1),
-                                                logt_grid=logt_grid, optimizer=opt)
-    results = [result]
-    if args.experiment == "pairing":
-        # bare "pairing" reports the diagonal growth and the cross-term decay
-        results.append(pairing_offdiag_experiment(
-            [base, second], pair=(0, 1), logt_grid=logt_grid, optimizer=opt))
+            # bare "pairing" reports the diagonal growth and the cross-term decay
+            diag, off = pairing_experiments([base, second], member=0, pair=(0, 1),
+                                            logt_grid=logt_grid, optimizer=opt)
+            results = {"pairing": [diag, off], "pairing-diag": [diag],
+                       "pairing-offdiag": [off]}[args.experiment]
     for r in results:
         r.metadata.update({"model_m": m, "chain": chain.id, "chain_nodes": l})
     text = "".join(r.to_columns() for r in results)
@@ -311,6 +307,8 @@ def main(argv=None) -> int:
         return 2
     except NumericalConvergenceError as err:
         print(f"numerical convergence failure: {err}", file=sys.stderr)
+        details = {"best": err.best, "diagnostics": err.diagnostics}
+        print(json.dumps(to_jsonable(details), sort_keys=True), file=sys.stderr)
         return 3
     except (CurveDegenError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

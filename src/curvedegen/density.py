@@ -22,12 +22,13 @@ from scipy.optimize import minimize
 
 from .errors import InternalConsistencyError, NumericalConvergenceError
 from .laurent import LaurentFamily, eval_table, fiber_value, side_tables
-from .quadrature import QuadratureSpec
 
 __all__ = [
+    "QuadratureSpec",
     "OptimizerSpec",
     "SectionSystem",
     "coefficient_grid",
+    "grid_density",
     "pseudonorm",
     "ns_density",
     "pairing_matrix",
@@ -38,6 +39,26 @@ __all__ = [
 _GL_ORDER = 32
 _PANEL_LENGTH = 5.0
 _TINY_DENSITY = 1e-250
+_BLOCK_ENTRIES = 4_000_000  # entries of |S C^T| held at once
+
+
+@dataclass(frozen=True)
+class QuadratureSpec:
+    """Resolution of the frozen node-chart grid.
+
+    ``panel_cut`` bounds the resolved part of the s range; features of
+    fiber sections live at s = O(1), so 50 is generous.  ``n_angular`` is
+    the angular node count (raised to at least 64 on use).
+    """
+
+    n_angular: int = 32
+    panel_cut: float = 50.0
+
+    def __post_init__(self):
+        if self.n_angular < 8:
+            raise ValueError("need at least eight angular nodes")
+        if self.panel_cut <= 0:
+            raise ValueError("panel_cut must be positive")
 
 
 @dataclass(frozen=True)
@@ -64,11 +85,11 @@ class OptimizerSpec:
             raise ValueError("bad optimizer controls")
 
 
-def _gauss_nodes(logt: float, spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_nodes(logt: float, panel_cut: float) -> tuple[np.ndarray, np.ndarray]:
     """Composite GL nodes and weights on [0, logt/2], tail in one panel."""
     xs, ws = np.polynomial.legendre.leggauss(_GL_ORDER)
     half = logt / 2.0
-    resolved = min(half, spec.panel_cut)
+    resolved = min(half, panel_cut)
     n_panels = max(2, int(math.ceil(resolved / _PANEL_LENGTH)))
     edges = list(np.linspace(0.0, resolved, n_panels + 1))
     if half > resolved:
@@ -112,6 +133,28 @@ def coefficient_grid(n_families: int, optimizer: OptimizerSpec | None = None) ->
     return np.array(rows)
 
 
+def grid_density(S: np.ndarray, C: np.ndarray, m: int,
+                 weights: np.ndarray | None = None,
+                 pn: np.ndarray | None = None) -> np.ndarray:
+    """The extremal-density kernel: |S c|^(2/m) for each row c of C (K, M).
+
+    ``S`` (N, M) holds section values at N nodes.  Given ``weights`` (N,),
+    returns the grid pseudonorms pn(c) = weights @ |S c|^(2/m), shape (K,);
+    given ``pn`` (K,), the grid-max normalized density max_c |S c|^(2/m) /
+    pn(c) per node, shape (N,).  Node rows go in blocks of at most about
+    4e6 values.
+    """
+    block = max(1, _BLOCK_ENTRIES // max(len(C), 1))
+    out = np.zeros(len(C)) if pn is None else np.empty(len(S))
+    for lo in range(0, len(S), block):
+        vals = np.abs(S[lo:lo + block] @ C.T) ** (2.0 / m)
+        if pn is None:
+            out += weights[lo:lo + block] @ vals
+        else:
+            np.max(vals / pn[None, :], axis=1, out=out[lo:lo + block])
+    return out
+
+
 class SectionSystem:
     """Frozen quadrature of a family system over all its half-annulus sides.
 
@@ -141,7 +184,7 @@ class SectionSystem:
                            for _ in range(max(f.chain_length for f in families)))
         self.charts = charts
 
-        s_nodes, s_weights = _gauss_nodes(self.logt, self.spec)
+        s_nodes, s_weights = _gauss_nodes(self.logt, self.spec.panel_cut)
         n_phi = max(self.spec.n_angular, 64)
         phi = np.arange(n_phi) * (2.0 * np.pi / n_phi)
         dphi = 2.0 * np.pi / n_phi
@@ -180,12 +223,7 @@ class SectionSystem:
             return total
 
         base = envelope(s_nodes, s_weights, n_phi)
-        fine_spec = QuadratureSpec(
-            n_radial=self.spec.n_radial, n_angular=self.spec.n_angular,
-            max_levels=self.spec.max_levels, rel_tol=self.spec.rel_tol,
-            panel_cut=self.spec.panel_cut / 2.0,
-            inner_exponent=self.spec.inner_exponent)
-        fine_s, fine_w = _gauss_nodes(self.logt, fine_spec)
+        fine_s, fine_w = _gauss_nodes(self.logt, self.spec.panel_cut / 2.0)
         fine = envelope(fine_s, fine_w, 2 * n_phi)
         return abs(fine - base) / max(abs(base), 1e-300)
 
@@ -200,24 +238,12 @@ class SectionSystem:
 
     def pn_batch(self, grid: np.ndarray) -> np.ndarray:
         """Same integral for every row of a (K, M) coefficient grid."""
-        out = np.zeros(grid.shape[0])
-        block = max(1, int(4_000_000 // max(self.n_nodes, 1)))
-        for lo in range(0, grid.shape[0], block):
-            chunk = grid[lo:lo + block]
-            vals = np.abs(self.S @ chunk.T) ** (2.0 / self.m)
-            out[lo:lo + block] = self.weights @ vals
-        return out
+        return grid_density(self.S, grid, self.m, weights=self.weights)
 
     def tau_normalized(self, C: np.ndarray, pn_grid: np.ndarray,
                        S: np.ndarray | None = None) -> np.ndarray:
         """Grid-max normalized density max_c |S c|^(2/m) / pn(c) per node."""
-        S = self.S if S is None else S
-        out = np.empty(S.shape[0])
-        block = max(1, int(4_000_000 // max(C.shape[0], 1)))
-        for lo in range(0, S.shape[0], block):
-            vals = np.abs(S[lo:lo + block] @ C.T) ** (2.0 / self.m)
-            np.max(vals / pn_grid[None, :], axis=1, out=out[lo:lo + block])
-        return out
+        return grid_density(self.S if S is None else S, C, self.m, pn=pn_grid)
 
 
 def pseudonorm(combination, logt: float,
@@ -419,12 +445,15 @@ def region_tau_mass(families, logt: float, region: tuple[float, float],
 
     n_sub = max(1, n_u // _GL_ORDER)
     na = n_phi
-    prev = total_at(n_sub, na)
+    iterates = [total_at(n_sub, na)]
     for _ in range(4):
         n_sub *= 2
         na *= 2
         cur = total_at(n_sub, na)
-        if abs(cur - prev) <= 1e-5 * max(abs(cur), 1e-300):
+        if abs(cur - iterates[-1]) <= 1e-5 * max(abs(cur), 1e-300):
             return cur
-        prev = cur
-    return prev
+        iterates.append(cur)
+    raise NumericalConvergenceError(
+        "region mass did not stabilize within 4 doublings",
+        best=iterates[-1],
+        diagnostics={"iterates": iterates, "logt": logt, "region": region})

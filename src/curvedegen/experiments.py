@@ -13,10 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad as _scipy_quad
 
-from .density import (OptimizerSpec, SectionSystem, pairing_matrix, pseudonorm,
+from .density import (OptimizerSpec, QuadratureSpec, pairing_matrix, pseudonorm,
                       region_tau_mass)
 from .laurent import LaurentFamily
-from .quadrature import QuadratureSpec
 
 __all__ = [
     "ExperimentResult",
@@ -24,6 +23,7 @@ __all__ = [
     "region_mass_experiment",
     "pairing_diag_experiment",
     "pairing_offdiag_experiment",
+    "pairing_experiments",
 ]
 
 DEFAULT_LOGT_GRID = (1e2, 1e3, 1e4)
@@ -130,6 +130,33 @@ def region_mass_experiment(families, region: tuple[float, float],
     return _result("region-mass", logt_grid, obs, ref, meta)
 
 
+def _pairing_sweep(families, logt_grid, spec, optimizer):
+    """(depth grid, optimizer, pairing matrix at each depth)."""
+    grid = _check_grid(logt_grid)
+    opt = optimizer or OptimizerSpec()
+    return grid, opt, [pairing_matrix(families, L, spec=spec, optimizer=opt)
+                       for L in grid]
+
+
+def _diag_result(families, member, grid, opt, mats) -> ExperimentResult:
+    fam = families[member]
+    obs = [float(np.real(A[member, member])) for A in mats]
+    ref = [abs(fam.residue) ** 2 * (2.0 * np.pi * fam.chain_length * L) ** fam.m
+           for L in grid]
+    meta = {"m": fam.m, "member": member, "n_families": len(families),
+            "seed": opt.seed, "truncation": fam.truncation_order}
+    return _result("pairing-diag", grid, obs, ref, meta)
+
+
+def _offdiag_result(families, pair, grid, opt, mats) -> ExperimentResult:
+    j, k = pair
+    obs = [abs(A[j, k]) / float(np.sqrt(np.real(A[j, j]) * np.real(A[k, k])))
+           for A in mats]
+    meta = {"m": families[0].m, "pair": pair, "n_families": len(families),
+            "seed": opt.seed}
+    return _result("pairing-offdiag", grid, obs, [0.0] * len(grid), meta)
+
+
 def pairing_diag_experiment(families, member: int = 0,
                             logt_grid=DEFAULT_LOGT_GRID,
                             spec: QuadratureSpec | None = None,
@@ -139,18 +166,9 @@ def pairing_diag_experiment(families, member: int = 0,
     Meaningful for a member whose residue term dominates; the ratio
     converges to |residue|^2 = 1 for residue-one members.
     """
-    logt_grid = _check_grid(logt_grid)
     families = tuple(families)
-    fam = families[member]
-    opt = optimizer or OptimizerSpec()
-    obs, ref = [], []
-    for L in logt_grid:
-        A = pairing_matrix(families, L, spec=spec, optimizer=opt)
-        obs.append(float(np.real(A[member, member])))
-        ref.append(abs(fam.residue) ** 2 * (2.0 * np.pi * fam.chain_length * L) ** fam.m)
-    meta = {"m": fam.m, "member": member, "n_families": len(families),
-            "seed": opt.seed, "truncation": fam.truncation_order}
-    return _result("pairing-diag", logt_grid, obs, ref, meta)
+    return _diag_result(families, member,
+                        *_pairing_sweep(families, logt_grid, spec, optimizer))
 
 
 def pairing_offdiag_experiment(families, pair: tuple[int, int] = (0, 1),
@@ -162,16 +180,18 @@ def pairing_offdiag_experiment(families, pair: tuple[int, int] = (0, 1),
     The observed column doubles as the error column since the reference
     vanishes; it should decrease along the grid.
     """
-    logt_grid = _check_grid(logt_grid)
-    j, k = pair
-    opt = optimizer or OptimizerSpec()
-    obs, ref = [], []
-    for L in logt_grid:
-        A = pairing_matrix(families, L, spec=spec, optimizer=opt)
-        denom = float(np.sqrt(np.real(A[j, j]) * np.real(A[k, k])))
-        obs.append(abs(A[j, k]) / denom)
-        ref.append(0.0)
-    fams = tuple(families)
-    meta = {"m": fams[0].m, "pair": pair, "n_families": len(fams),
-            "seed": opt.seed}
-    return _result("pairing-offdiag", logt_grid, obs, ref, meta)
+    families = tuple(families)
+    return _offdiag_result(families, pair,
+                           *_pairing_sweep(families, logt_grid, spec, optimizer))
+
+
+def pairing_experiments(families, member: int = 0, pair: tuple[int, int] = (0, 1),
+                        logt_grid=DEFAULT_LOGT_GRID,
+                        spec: QuadratureSpec | None = None,
+                        optimizer: OptimizerSpec | None = None
+                        ) -> tuple[ExperimentResult, ExperimentResult]:
+    """The diagonal and off-diagonal experiments from one sweep of matrices."""
+    families = tuple(families)
+    sweep = _pairing_sweep(families, logt_grid, spec, optimizer)
+    return (_diag_result(families, member, *sweep),
+            _offdiag_result(families, pair, *sweep))

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import OptimizerSpec, coefficient_grid
+from .density import OptimizerSpec, QuadratureSpec, coefficient_grid, grid_density
 from .errors import NumericalConvergenceError
-from .quadrature import QuadratureSpec
 
 __all__ = ["Genus0MassResult", "generic_configuration", "moebius_points",
            "ns_mass_genus0"]
@@ -204,16 +203,8 @@ def _mass_pass(points, coeffs, m: int, d: int, ctl: _Controls,
                         tol=optimizer.tol, max_iter=optimizer.max_iter,
                         grid_moduli=ctl.grid_moduli, grid_phase=ctl.grid_phase)
     C = coefficient_grid(d + 1, opt)
-    block = max(1, int(4_000_000 // max(len(C), 1)))
-    pn = np.zeros(len(C))
-    for lo in range(0, len(V), block):
-        vals = np.abs(V[lo:lo + block] @ C.T) ** (2.0 / m)
-        pn += (W[lo:lo + block] @ vals)
-    mass = 0.0
-    for lo in range(0, len(V), block):
-        vals = np.abs(V[lo:lo + block] @ C.T) ** (2.0 / m)
-        mass += float(W[lo:lo + block] @ np.max(vals / pn[None, :], axis=1))
-    return mass
+    pn = grid_density(V, C, m, weights=W)
+    return float(W @ grid_density(V, C, m, pn=pn))
 
 
 def ns_mass_genus0(points, coefficients, m: int,

@@ -36,8 +36,6 @@ __all__ = [
     "pushforward_to_fiber",
     "large_m_limit_fixed_divisor",
     "large_m_limit_fixed_qdivisor",
-    "mu_infinity_fixed_B",
-    "mu_infinity_fixed_QB",
     "stable_curve_ns_measure",
 ]
 
@@ -110,7 +108,7 @@ def _edge_masses(model: DualGraphModel, sg: StableDualGraph) -> dict[str, Fracti
 
 def ns_limit_measure(model: DualGraphModel, m: int | None = None,
                      estimate_genus0: bool = False,
-                     quad=None, optimizer=None) -> CCMeasure:
+                     optimizer=None) -> CCMeasure:
     """Limit of the fiberwise sup-type measures on the curve complex.
 
     Every skeleton edge carries Lebesgue mass 1/(length of its maximal
@@ -129,14 +127,14 @@ def ns_limit_measure(model: DualGraphModel, m: int | None = None,
         if h0(b) > 0:
             total = UNKNOWN
             if estimate_genus0 and c.genus == 0:
-                total = _genus0_estimate(model, c.id, b, quad, optimizer)
+                total = _genus0_estimate(model, c.id, b, optimizer)
             comps[c.id] = ns_descriptor(b, total)
         else:
             comps[c.id] = zero_descriptor()
     return CCMeasure(model, "ns", comps, _edge_masses(model, sg))
 
 
-def _genus0_estimate(model, cid, bundle, quad, optimizer):
+def _genus0_estimate(model, cid, bundle, optimizer):
     """Numeric total mass for a genus-0 component on generic points."""
     from .genus0 import generic_configuration, ns_mass_genus0
 
@@ -150,7 +148,7 @@ def _genus0_estimate(model, cid, bundle, quad, optimizer):
             return UNKNOWN
         coeffs.append(total)
     points = generic_configuration(len(coeffs))
-    res = ns_mass_genus0(points, coeffs, bundle.m, quad=quad, optimizer=optimizer)
+    res = ns_mass_genus0(points, coeffs, bundle.m, optimizer=optimizer)
     return Estimate(res.value, res.error)
 
 
@@ -339,8 +337,3 @@ def stable_curve_ns_measure(graph: StableDualGraph, m: int | None = None) -> Fib
         comps[v] = ns_descriptor(b) if h0(b) > 0 else zero_descriptor()
     node_atoms = {ch.id: Fraction(1) for ch in graph.chains}
     return FiberMeasure(graph, "ns", comps, node_atoms)
-
-
-# Shorthand aliases matching the CLI mode names fixed-B / fixed-QB.
-mu_infinity_fixed_B = large_m_limit_fixed_divisor
-mu_infinity_fixed_QB = large_m_limit_fixed_qdivisor

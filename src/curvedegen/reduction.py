@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bundles import ComponentClass, classify_component
 from .errors import LiftError, ModelValidationError
 from .measures import (
     Atom,
@@ -39,7 +39,6 @@ __all__ = [
     "DominationMap",
     "compose_maps",
     "minimal_snc_model",
-    "classify",
     "ChainEdge",
     "StableDualGraph",
     "stable_dual_graph",
@@ -127,23 +126,20 @@ def compose_maps(outer: DominationMap, inner: DominationMap) -> DominationMap:
     return DominationMap(outer.source, inner.target, outer.steps + inner.steps)
 
 
-def _identity_map(model: DualGraphModel) -> DominationMap:
-    return DominationMap(model, model, ())
-
-
-def _fresh_id(base: str, used: set[str]) -> str:
-    if base not in used:
-        return base
-    for k in itertools.count(2):
-        cand = f"{base}_{k}"
-        if cand not in used:
+def _fresh_id(base: str, *taken) -> str:
+    """``base``, else ``base_k`` for the least k >= 2: the first in none of ``taken``."""
+    for k in itertools.count(1):
+        cand = base if k == 1 else f"{base}_{k}"
+        if not any(cand in ids for ids in taken):
             return cand
 
 
 def _all_ids(model: DualGraphModel) -> set[str]:
+    """Every id in use: components, edges, marks and merge-group names."""
     out = {c.id for c in model.components}
     out |= {e.id for e in model.edges}
     out |= {p.id for p in model.marks}
+    out |= {p.merge_group for p in model.marks if p.merge_group is not None}
     return out
 
 
@@ -182,7 +178,10 @@ def minimal_snc_model(model: DualGraphModel, m: int | None = None) -> tuple[Dual
     for i, p in enumerate(model.marks):
         carried[p.host].append(i)
     moved_to: dict[int, tuple[str, str]] = {}  # mark index -> (host, point id)
-    used = _all_ids(model)  # ids of the current model, for fresh point ids
+    # ids of the current model, for fresh point ids: components, edges and
+    # marks in ``used``; marks per merge group (None: ungrouped) in ``groups``
+    used = {x.id for x in model.components + model.edges + model.marks}
+    groups = Counter(p.merge_group for p in model.marks)
 
     def contractible(cid: str) -> bool:
         return (model.component(cid).genus == 0 and len(live[cid]) == 1
@@ -199,12 +198,17 @@ def minimal_snc_model(model: DualGraphModel, m: int | None = None) -> tuple[Dual
         (edge,) = live.pop(cid).values()
         host = edge.endpoints[0] if edge.endpoints[1] == cid else edge.endpoints[1]
         del live[host][edge.id]
-        location = _fresh_id(f"pt_{cid}", used)
+        location = _fresh_id(f"pt_{cid}", used, groups)
         used.discard(cid)
         used.discard(edge.id)
         # everything on the leaf lands at one point of the host
         moved = sorted(carried.pop(cid))
         for i in moved:
+            old = moved_to[i][1] if i in moved_to else model.marks[i].merge_group
+            groups[old] -= 1
+            if not groups[old]:
+                del groups[old]
+            groups[location] += 1
             moved_to[i] = (host, location)
         carried[host].extend(moved)
         degree[host] += degree.pop(cid)
@@ -243,14 +247,6 @@ def minimal_snc_model(model: DualGraphModel, m: int | None = None) -> tuple[Dual
 def is_minimal(model: DualGraphModel, m: int | None = None) -> bool:
     mm = model.params.m if m is None else m
     return not any(_contractible(model, mm, c.id) for c in model.components)
-
-
-def classify(model: DualGraphModel, m: int | None = None) -> dict[str, ComponentClass]:
-    """Per-component classification; requires a valid model."""
-    if m is not None:
-        model = model.with_params(m)
-    require_valid(model)
-    return {c.id: classify_component(model, c.id) for c in model.components}
 
 
 # -- stable dual graph -------------------------------------------------------

@@ -34,6 +34,7 @@ def _all_ids(model: DualGraphModel) -> set[str]:
     out = {c.id for c in model.components}
     out |= {e.id for e in model.edges}
     out |= {p.id for p in model.marks}
+    out |= {p.merge_group for p in model.marks if p.merge_group is not None}
     return out
 
 

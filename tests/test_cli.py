@@ -233,6 +233,23 @@ class TestVerify:
         docs = json.loads(capsys.readouterr().out)
         assert [d["name"] for d in docs] == ["pairing-diag", "pairing-offdiag"]
 
+    def test_pairing_builds_each_matrix_once(self, files, monkeypatch, capsys):
+        import curvedegen.experiments as experiments
+
+        depths = []
+        build = experiments.pairing_matrix
+
+        def counted(families, logt, **kwargs):
+            depths.append(logt)
+            return build(families, logt, **kwargs)
+
+        monkeypatch.setattr(experiments, "pairing_matrix", counted)
+        argv = ["verify", "--experiment", "pairing", "--model",
+                files["dumbbell"], "--logt", "20,60"]
+        assert main(argv) == 0
+        assert depths == [20.0, 60.0]
+        assert capsys.readouterr().out.count("# experiment: pairing-") == 2
+
     def test_columns_file(self, files, tmp_path, capsys):
         target = tmp_path / "table.txt"
         argv = ["verify", "--experiment", "norm", "--model", files["dumbbell"],
@@ -278,10 +295,17 @@ class TestExitCodes:
         import curvedegen.cli as cli_mod
 
         def slow(*a, **k):
-            raise NumericalConvergenceError("did not stabilize", best=0.0,
-                                            diagnostics={})
+            raise NumericalConvergenceError(
+                "did not stabilize", best=0.5,
+                diagnostics={"iterates": [0.25, 0.5], "region": (0.2, 0.4),
+                             "w": 0.5 + 0.25j})
 
         monkeypatch.setattr(cli_mod, "norm_asymptotics_experiment", slow)
         argv = ["verify", "--experiment", "norm", "--model", files["dumbbell"]]
         assert main(argv) == 3
-        assert "convergence" in capsys.readouterr().err
+        message, details = capsys.readouterr().err.splitlines()
+        assert "convergence" in message
+        assert json.loads(details) == {
+            "best": 0.5,
+            "diagnostics": {"iterates": [0.25, 0.5], "region": [0.2, 0.4],
+                            "w": {"re": 0.5, "im": 0.25}}}

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from curvedegen import LaurentFamily
+from curvedegen import LaurentFamily, NumericalConvergenceError
 from curvedegen.density import (
+    QuadratureSpec,
     SectionSystem,
     ns_density,
     pairing_matrix,
@@ -23,11 +24,21 @@ EXACT_PAIR = [LaurentFamily.from_w_powers(2, {0: 1.0}),
               LaurentFamily.from_w_powers(2, {1: 1.0})]
 
 
+class TestSpec:
+    def test_minimum_grid_size(self):
+        with pytest.raises(ValueError):
+            QuadratureSpec(n_angular=4)
+
+    def test_positive_panel_cut(self):
+        with pytest.raises(ValueError):
+            QuadratureSpec(panel_cut=-1.0)
+
+
 class TestPseudonorm:
     def test_pure_pole_matches_log_growth(self):
         # || w^-m (dw)^m ||' = (2 pi log|t|^-1)^(m/2)
         for m in (2, 3):
-            for logt in (100.0, 1000.0):
+            for logt in (10.0, 100.0, 1000.0, 10000.0):
                 pn = pseudonorm([(1.0, LaurentFamily.pole(m))], logt)
                 assert pn == pytest.approx((2 * math.pi * logt) ** (m / 2),
                                            rel=1e-9)
@@ -179,3 +190,15 @@ class TestRegionMass:
         fams = [LaurentFamily.pole(2), LaurentFamily.pole(2, chain_length=2)]
         with pytest.raises(ValueError):
             region_tau_mass(fams, 100.0, (0.2, 0.4))
+
+    def test_unstable_weight_raises_with_history(self):
+        # a weight oscillating far below every level's resolution keeps
+        # consecutive doublings from agreeing
+        with pytest.raises(NumericalConvergenceError) as info:
+            region_tau_mass([LaurentFamily.pole(2)], 1000.0, (0.2, 0.4),
+                            lambda u: 1.0 + np.cos(1e5 * u))
+        err = info.value
+        assert len(err.diagnostics["iterates"]) == 5
+        assert err.best == err.diagnostics["iterates"][-1]
+        assert err.diagnostics["region"] == (0.2, 0.4)
+        assert err.diagnostics["logt"] == 1000.0

@@ -19,8 +19,6 @@ from curvedegen import (
     large_m_limit_fixed_qdivisor,
     make_model,
     minimal_snc_model,
-    mu_infinity_fixed_B,
-    mu_infinity_fixed_QB,
     ns_limit_measure,
     pb_limit_measure,
     pushforward_to_fiber,
@@ -168,10 +166,6 @@ class TestLargeM:
     def test_single_genus3(self):
         nu = large_m_limit_fixed_divisor(make_model(2, [("C", 3)]))
         assert nu.vertex_atoms == {"C": Fraction(4)}
-
-    def test_aliases_are_the_same_functions(self):
-        assert mu_infinity_fixed_B is large_m_limit_fixed_divisor
-        assert mu_infinity_fixed_QB is large_m_limit_fixed_qdivisor
 
     def test_low_genus_rejected(self):
         model = make_model(2, [("E", 1)], [], [("P", "E", 1)])

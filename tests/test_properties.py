@@ -40,11 +40,13 @@ minimal_models = seeds.map(lambda s: random_minimal_model(random.Random(s)))
 
 
 @st.composite
-def tailed_models(draw):
+def tailed_models(draw, groups=False):
     """A minimal core from the corpus plus drawn rational tails: tails may
     hang on tails, carry marks, and collide with the point ids that
     contraction invents (``pt_<tail>`` is sometimes already a mark id, or
-    the id of a tail hanging on that tail, which goes first)."""
+    the id of a tail hanging on that tail, which goes first).  With
+    ``groups``, tail marks may also sit in merge groups named like those
+    ids, and the host of a tail may carry a mark in group ``pt_<tail>``."""
     rng = random.Random(draw(seeds))
     if draw(st.booleans()):
         return random_model_with_tails(rng)
@@ -66,8 +68,15 @@ def tailed_models(draw):
         for j in range(draw(st.integers(0, 2))):
             pid = f"pt_T{k + 1}" if draw(st.booleans()) else f"TP{k}_{j}"
             if pid not in taken:
-                marks.append((pid, leaf, draw(st.integers(1, m - 1))))
+                group = None
+                if groups:
+                    group = draw(st.sampled_from(
+                        [None, f"pt_{leaf}", f"pt_T{k + 1}", f"pt_{host}"]))
+                marks.append((pid, leaf, draw(st.integers(1, m - 1)), group))
                 taken.add(pid)
+        if groups and f"HP{k}" not in taken and draw(st.booleans()):
+            marks.append((f"HP{k}", host, 1, f"pt_{leaf}"))
+            taken.add(f"HP{k}")
         hosts.append(leaf)
     return make_model(m, vertices, edges, marks)
 
@@ -84,7 +93,7 @@ def _same_reduction(model):
 
 
 @PROPERTY
-@given(tailed_models())
+@given(tailed_models(groups=True))
 def test_reduction_matches_step_by_step_loop(model):
     try:
         naive_minimal_snc_model(model)
@@ -107,7 +116,7 @@ def test_reduction_matches_loop_on_combs(n, seed):
 
 
 @PROPERTY
-@given(tailed_models())
+@given(tailed_models(groups=True))
 def test_reduction_is_idempotent(model):
     try:
         reduced, _ = minimal_snc_model(model)

@@ -61,6 +61,22 @@ class TestMinimalModel:
         assert step.location == "pt_L"
         assert reduced.mark("P").merge_group == "pt_L"
 
+    def test_point_ids_avoid_merge_groups_in_use(self):
+        # "pt_L" already names a coincident pair on C, so the contracted
+        # leaf's mark must land at a new point
+        model = make_model(3, [("C", 2), ("L", 0)], [("C", "L")],
+                           [("P1", "C", 1, "pt_L"), ("P2", "C", 1, "pt_L"),
+                            ("P3", "L", 1)])
+        reduced, dom = minimal_snc_model(model)
+        assert dom.steps[0].location == "pt_L_2"
+        assert [p.merge_group for p in reduced.marks] == ["pt_L", "pt_L", "pt_L_2"]
+        # A's mark leaves group "pt_B" before B contracts, freeing the name
+        model = make_model(3, [("C", 2), ("A", 0), ("B", 0)],
+                           [("C", "A"), ("C", "B")],
+                           [("P1", "A", 1, "pt_B"), ("P2", "B", 1)])
+        _, dom = minimal_snc_model(model)
+        assert [step.location for step in dom.steps] == ["pt_A", "pt_B"]
+
     def test_leaf_with_mark_degree_m_stays(self):
         model = make_model(3, [("C", 2), ("L", 0)], [("C", "L")],
                            [("P1", "L", 2), ("P2", "L", 1)])
