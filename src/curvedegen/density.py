@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import InternalConsistencyError, NumericalConvergenceError
 from .laurent import LaurentFamily, eval_table, fiber_value, side_tables
@@ -28,6 +27,7 @@ __all__ = [
     "OptimizerSpec",
     "SectionSystem",
     "coefficient_grid",
+    "gauss_panels",
     "grid_density",
     "pseudonorm",
     "ns_density",
@@ -40,6 +40,10 @@ _GL_ORDER = 32
 _PANEL_LENGTH = 5.0
 _TINY_DENSITY = 1e-250
 _BLOCK_ENTRIES = 4_000_000  # entries of |S C^T| held at once
+_POLISH_START = 0.25   # first compass step on the coefficient sphere
+_POLISH_STOP = 1e-9    # the compass search ends once its step falls below this
+_POLISH_ROUNDS = 200   # majorization steps per start, and compass steps per call
+_ROW_FLOOR = 1e-8      # majorizer weights floor |S_i c| at this fraction of |S_i|
 
 
 @dataclass(frozen=True)
@@ -48,10 +52,10 @@ class QuadratureSpec:
 
     ``panel_cut`` bounds the resolved part of the s range; features of
     fiber sections live at s = O(1), so 50 is generous.  ``n_angular`` is
-    the angular node count (raised to at least 64 on use).
+    the angular node count.
     """
 
-    n_angular: int = 32
+    n_angular: int = 64
     panel_cut: float = 50.0
 
     def __post_init__(self):
@@ -67,38 +71,40 @@ class OptimizerSpec:
 
     The sphere of coefficient lines is scanned on a deterministic grid
     (moduli x relative phases for two-member families, seeded random
-    directions above that) and the best candidates are polished by
-    Nelder-Mead runs started from them and from the coordinate axes.
+    directions above that).  ``ns_density`` runs majorize-minimize steps
+    from the two best grid points, then a compass search from all four
+    points: each step scores the 4M neighbours c +- delta e_j and
+    c +- i delta e_j, renormalized, moves to the best improvement or else
+    halves delta (from 0.25), and stops at delta < 1e-9 or after 200 steps.
     """
 
     seed: int = 2024
-    n_random_starts: int = 8
-    tol: float = 1e-8
-    max_iter: int = 600
     grid_moduli: int = 33
     grid_phase: int = 32
 
     def __post_init__(self):
         if self.grid_moduli < 2 or self.grid_phase < 2:
             raise ValueError("coefficient grid needs at least two steps per direction")
-        if self.n_random_starts < 0 or self.max_iter < 1 or self.tol <= 0:
-            raise ValueError("bad optimizer controls")
+
+
+def gauss_panels(edges, order: int = _GL_ORDER) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule: ``order`` nodes on each panel between
+    consecutive ``edges``, as (nodes, weights) in panel order."""
+    xs, ws = np.polynomial.legendre.leggauss(order)
+    edges = np.asarray(edges, dtype=float)[:, None]
+    a, b = edges[:-1], edges[1:]
+    return (0.5 * (b - a) * xs + 0.5 * (a + b)).ravel(), (0.5 * (b - a) * ws).ravel()
 
 
 def _gauss_nodes(logt: float, panel_cut: float) -> tuple[np.ndarray, np.ndarray]:
     """Composite GL nodes and weights on [0, logt/2], tail in one panel."""
-    xs, ws = np.polynomial.legendre.leggauss(_GL_ORDER)
     half = logt / 2.0
     resolved = min(half, panel_cut)
     n_panels = max(2, int(math.ceil(resolved / _PANEL_LENGTH)))
     edges = list(np.linspace(0.0, resolved, n_panels + 1))
     if half > resolved:
         edges.append(half)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        nodes.append(0.5 * (b - a) * xs + 0.5 * (a + b))
-        weights.append(0.5 * (b - a) * ws)
-    return np.concatenate(nodes), np.concatenate(weights)
+    return gauss_panels(edges)
 
 
 def coefficient_grid(n_families: int, optimizer: OptimizerSpec | None = None) -> np.ndarray:
@@ -185,7 +191,7 @@ class SectionSystem:
         self.charts = charts
 
         s_nodes, s_weights = _gauss_nodes(self.logt, self.spec.panel_cut)
-        n_phi = max(self.spec.n_angular, 64)
+        n_phi = self.spec.n_angular
         phi = np.arange(n_phi) * (2.0 * np.pi / n_phi)
         dphi = 2.0 * np.pi / n_phi
 
@@ -233,8 +239,8 @@ class SectionSystem:
 
     def pn(self, coeffs) -> float:
         """Integral of |theta_c|^(2/m) over all sides for one coefficient row."""
-        vals = np.abs(self.S @ np.asarray(coeffs, dtype=complex))
-        return float(self.weights @ vals ** (2.0 / self.m))
+        return float(grid_density(self.S, np.asarray(coeffs, dtype=complex)[None, :],
+                                  self.m, weights=self.weights)[0])
 
     def pn_batch(self, grid: np.ndarray) -> np.ndarray:
         """Same integral for every row of a (K, M) coefficient grid."""
@@ -260,12 +266,32 @@ def pseudonorm(combination, logt: float,
     return system.pn(coeffs) ** (system.m / 2.0)
 
 
-def _unpack(x: np.ndarray) -> np.ndarray | None:
-    c = x[::2] + 1j * x[1::2]
-    nrm = np.linalg.norm(c)
-    if nrm < 1e-12:
-        return None
-    return c / nrm
+def _majorize(system: SectionSystem, v: np.ndarray, starts, scores,
+              log_density) -> tuple[np.ndarray, np.ndarray]:
+    """Majorize-minimize ascents from unit rows ``starts``: the starts, then
+    where each ascent ends, with their scores.  A step c ~ A^-1 conj(v),
+    A = S^H diag(w_i |S_i c|^(p-2)) S with p = 2/m, minimizes the tangent
+    bound of pn on the chart v.c = 1, so it follows the ridges where rows
+    cancel, on which extremal combinations sit and coordinate steps stall.
+    """
+    p = 2.0 / system.m
+    norms = np.maximum(np.linalg.norm(system.S, axis=1), np.finfo(float).tiny)
+    U = system.S / norms[:, None]  # unit rows keep the weights finite
+    base = system.weights * norms ** p
+    ends = []
+    for c, h in zip(starts, scores):
+        for _ in range(_POLISH_ROUNDS):
+            ratio = np.maximum(np.abs(U @ c), _ROW_FLOOR)
+            A = (U.conj().T * (base * ratio ** (p - 2.0))) @ U
+            y = np.linalg.lstsq(A, np.conj(v), rcond=None)[0]
+            y /= np.linalg.norm(y)
+            hy = float(log_density(y[None, :])[0])
+            if not hy > h:
+                break
+            c, h = y, hy
+        ends.append((c, h))
+    return (np.concatenate([starts, [c for c, _ in ends]]),
+            np.concatenate([scores, [h for _, h in ends]]))
 
 
 def ns_density(families, logt: float, w: complex,
@@ -276,68 +302,56 @@ def ns_density(families, logt: float, w: complex,
     """Extremal density sup over unit combinations of |theta_c(w)|^(2/m) / pn(c).
 
     ``w`` is a point of the w side of the first chart; the returned value
-    is a density against the area measure dA(w).  The search combines a
-    deterministic coefficient grid with polished Nelder-Mead runs.
+    is a density against the area measure dA(w).  The two best points of
+    the coefficient grid are polished (see ``OptimizerSpec``), each compass
+    step in one ``pn_batch`` call.  Every candidate is a unit coefficient
+    vector, so the value is attained and bounds the sup from below.
     """
-    opt = optimizer or OptimizerSpec()
     system = system or SectionSystem(families, logt, spec=spec, charts=charts)
     m = system.m
+    n = len(system.families)
     v = np.array([fiber_value(f, logt, w) for f in system.families])
     log_area = -2.0 * math.log(abs(complex(w)))
-    if len(system.families) == 1:
+    if n == 1:
         val = abs(v[0])
         if val == 0.0:
             return 0.0
         return math.exp((2.0 / m) * math.log(val) + log_area) / system.pn([1.0])
 
-    def h_value(c: np.ndarray) -> float:
-        amp = abs(complex(np.sum(c * v)))
-        if amp == 0.0:
-            return -math.inf
-        return (2.0 / m) * math.log(amp) - math.log(system.pn(c))
+    def log_density(C: np.ndarray) -> np.ndarray:
+        amps = np.abs(C @ v)
+        with np.errstate(divide="ignore"):
+            return (2.0 / m) * np.log(amps) - np.log(system.pn_batch(C))
 
-    grid = coefficient_grid(len(system.families), opt)
-    pn_grid = system.pn_batch(grid)
-    amps = np.abs(grid @ v)
-    with np.errstate(divide="ignore"):
-        scores = np.where(amps > 0.0,
-                          (2.0 / m) * np.log(np.maximum(amps, 1e-300)) - np.log(pn_grid),
-                          -np.inf)
+    grid = coefficient_grid(n, optimizer)
+    scores = log_density(grid)
     order = np.argsort(scores)[::-1]
-
-    starts = []
-    for idx in order[:2]:
-        starts.append(grid[idx])
-    starts.extend(np.eye(len(system.families), dtype=complex))
-    rng = np.random.default_rng(opt.seed)
-    for _ in range(opt.n_random_starts):
-        raw = rng.standard_normal(2 * len(system.families))
-        c = raw[::2] + 1j * raw[1::2]
-        starts.append(c / np.linalg.norm(c))
-
-    def objective(x: np.ndarray) -> float:
-        c = _unpack(x)
-        if c is None:
-            return math.inf
-        return -h_value(c)
-
-    best = float(np.max(scores))
-    any_finite = math.isfinite(best)
-    for c0 in starts:
-        x0 = np.empty(2 * len(system.families))
-        x0[::2] = np.real(c0)
-        x0[1::2] = np.imag(c0)
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"xatol": opt.tol, "fatol": opt.tol * 1e-2,
-                                "maxiter": opt.max_iter, "maxfev": 4 * opt.max_iter})
-        if math.isfinite(res.fun):
-            any_finite = True
-            best = max(best, -float(res.fun))
-    if not any_finite:
+    if not math.isfinite(scores[order[0]]):
         raise NumericalConvergenceError(
             "coefficient search found no finite objective value",
             diagnostics={"w": w, "logt": logt})
-    return math.exp(best + log_area)
+
+    # compass steps from the grid points and from their majorization ends:
+    # each alone misses maxima the other finds
+    c, h = _majorize(system, v, grid[order[:2]], scores[order[:2]], log_density)
+    moves = np.concatenate([z * np.eye(n) for z in (1.0, -1.0, 1j, -1j)])
+    step = np.full(len(c), _POLISH_START)
+    live = np.arange(len(c))
+    for _ in range(_POLISH_ROUNDS):
+        if not len(live):
+            break
+        nb = c[live, None, :] + step[live, None, None] * moves[None, :, :]
+        nb /= np.linalg.norm(nb, axis=2, keepdims=True)
+        sc = log_density(nb.reshape(-1, n)).reshape(len(live), len(moves))
+        k = np.argmax(sc, axis=1)
+        top = sc[np.arange(len(live)), k]
+        gain = top > h[live]
+        c[live[gain]] = nb[gain, k[gain]]
+        h[live[gain]] = top[gain]
+        step[live[~gain]] /= 2.0
+        live = live[step[live] >= _POLISH_STOP]
+    # every step starts at the grid maximum or above and only rises
+    return math.exp(float(h.max()) + log_area)
 
 
 def pairing_matrix(families, logt: float,
@@ -351,10 +365,9 @@ def pairing_matrix(families, logt: float,
     grid maximum; the matrix is a Gram matrix against the positive weight
     tau^(1-m), so it must come out positive definite.
     """
-    opt = optimizer or OptimizerSpec()
     system = system or SectionSystem(families, logt, spec=spec, charts=charts)
     m = system.m
-    C = coefficient_grid(len(system.families), opt)
+    C = coefficient_grid(len(system.families), optimizer)
     pn_grid = system.pn_batch(C)
     tau = system.tau_normalized(C, pn_grid)
     # Where every section is microscopic the contribution is provably
@@ -378,12 +391,10 @@ def pb_density(families, logt: float, w: complex,
     """Density at w of the measure sum (conj(A)^-1)_jk theta_j conj(theta_k) / tau^(m-1)."""
     system = SectionSystem(families, logt, spec=spec, charts=charts)
     m = system.m
-    A = pairing_matrix(families, logt, spec=spec, optimizer=optimizer,
-                       charts=charts, system=system)
+    A = pairing_matrix(families, logt, optimizer=optimizer, system=system)
     v = np.array([fiber_value(f, logt, w) for f in system.families])
     quad = float(np.real(np.conj(v) @ np.linalg.solve(A, v)))
-    tau_w = ns_density(families, logt, w, spec=spec, optimizer=optimizer,
-                       charts=charts, system=system)
+    tau_w = ns_density(families, logt, w, optimizer=optimizer, system=system)
     if tau_w <= 0.0:
         raise NumericalConvergenceError(
             "extremal density vanished where the pairing density was requested",
@@ -413,23 +424,19 @@ def region_tau_mass(families, logt: float, region: tuple[float, float],
     a, b = region
     if not (0.0 <= a < b <= 1.0):
         raise ValueError("region must be a nondegenerate subinterval of [0, 1]")
-    opt = optimizer or OptimizerSpec()
     system = SectionSystem(families, logt, spec=spec)
-    C = coefficient_grid(len(families), opt)
+    C = coefficient_grid(len(families), optimizer)
     pn_grid = system.pn_batch(C)
     tables = [side_tables(fam) for fam in families]
-
-    xs, ws = np.polynomial.legendre.leggauss(_GL_ORDER)
 
     def piece(lo: float, hi: float, side: int, n_sub: int, na: int) -> float:
         if hi <= lo:
             return 0.0
         phi = np.arange(na) * (2.0 * np.pi / na)
-        edges = np.linspace(lo, hi, n_sub + 1)
+        u_all, w_all = gauss_panels(np.linspace(lo, hi, n_sub + 1))
         total = 0.0
-        for p_lo, p_hi in zip(edges[:-1], edges[1:]):
-            u = 0.5 * (p_hi - p_lo) * xs + 0.5 * (p_lo + p_hi)
-            wu = 0.5 * (p_hi - p_lo) * ws
+        # one panel at a time bounds memory
+        for u, wu in zip(u_all.reshape(n_sub, -1), w_all.reshape(n_sub, -1)):
             s = u * logt if side == 0 else (1.0 - u) * logt
             S = np.zeros((len(u) * na, len(families)), dtype=complex)
             for j, tab in enumerate(tables):

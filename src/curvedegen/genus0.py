@@ -15,12 +15,14 @@ come from a full pass at doubled resolution.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .density import OptimizerSpec, QuadratureSpec, coefficient_grid, grid_density
+from .density import (OptimizerSpec, QuadratureSpec, coefficient_grid, gauss_panels,
+                      grid_density)
 from .errors import NumericalConvergenceError
 
 __all__ = ["Genus0MassResult", "generic_configuration", "moebius_points",
@@ -132,18 +134,11 @@ def _chart_nodes(chart: _Chart, ctl: _Controls):
                 gap = min(gap, abs(c - c2))
         radii.append(0.45 * min(gap, 0.5))
 
-    xs, ws = np.polynomial.legendre.leggauss(ctl.bg_gl)
     blocks_v, blocks_w = [], []
 
     # background polar grid over the whole disk
     phi = np.arange(ctl.bg_phi) * (2.0 * np.pi / ctl.bg_phi)
-    edges = np.linspace(0.0, 1.0, ctl.bg_panels + 1)
-    r_nodes, r_w = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        r_nodes.append(0.5 * (b - a) * xs + 0.5 * (a + b))
-        r_w.append(0.5 * (b - a) * ws)
-    r_nodes = np.concatenate(r_nodes)
-    r_w = np.concatenate(r_w)
+    r_nodes, r_w = gauss_panels(np.linspace(0.0, 1.0, ctl.bg_panels + 1), ctl.bg_gl)
     pts = (r_nodes[:, None] * np.exp(1j * phi)[None, :]).reshape(-1)
     area = (np.repeat(r_nodes * r_w, ctl.bg_phi)) * (2.0 * np.pi / ctl.bg_phi)
     cut = np.ones(len(pts))
@@ -154,19 +149,12 @@ def _chart_nodes(chart: _Chart, ctl: _Controls):
     blocks_w.append(area * cut * chart.sing_factor(pts))
 
     # per-singularity patches: geometric layers in log rho
-    gl_u, glw_u = np.polynomial.legendre.leggauss(ctl.layer_gl)
     psi = np.arange(ctl.n_psi) * (2.0 * np.pi / ctl.n_psi)
     for (j, c, dlin), rho in zip(sings, radii):
         a_j = chart.coeffs[j]
         u_hi = math.log(rho)
         u_lo = u_hi - ctl.layers * math.log(2.0)
-        u_edges = np.linspace(u_lo, u_hi, ctl.layers + 1)
-        u_nodes, u_w = [], []
-        for ua, ub in zip(u_edges[:-1], u_edges[1:]):
-            u_nodes.append(0.5 * (ub - ua) * gl_u + 0.5 * (ua + ub))
-            u_w.append(0.5 * (ub - ua) * glw_u)
-        u_nodes = np.concatenate(u_nodes)
-        u_w = np.concatenate(u_w)
+        u_nodes, u_w = gauss_panels(np.linspace(u_lo, u_hi, ctl.layers + 1), ctl.layer_gl)
         rho_nodes = np.exp(u_nodes)
         pts = (c + rho_nodes[:, None] * np.exp(1j * psi)[None, :]).reshape(-1)
         area = np.repeat(rho_nodes ** 2 * u_w, ctl.n_psi) * (2.0 * np.pi / ctl.n_psi)
@@ -190,18 +178,11 @@ def _chart_nodes(chart: _Chart, ctl: _Controls):
 
 def _mass_pass(points, coeffs, m: int, d: int, ctl: _Controls,
                optimizer: OptimizerSpec) -> float:
-    rows_v, rows_w = [], []
-    for kind in ("w", "v"):
-        chart = _Chart(points, coeffs, m, d, kind)
-        V, W = _chart_nodes(chart, ctl)
-        rows_v.append(V)
-        rows_w.append(W)
-    V = np.concatenate(rows_v)
-    W = np.concatenate(rows_w)
-    opt = OptimizerSpec(seed=optimizer.seed,
-                        n_random_starts=optimizer.n_random_starts,
-                        tol=optimizer.tol, max_iter=optimizer.max_iter,
-                        grid_moduli=ctl.grid_moduli, grid_phase=ctl.grid_phase)
+    nodes = [_chart_nodes(_Chart(points, coeffs, m, d, kind), ctl) for kind in ("w", "v")]
+    V = np.concatenate([values for values, _ in nodes])
+    W = np.concatenate([weights for _, weights in nodes])
+    opt = dataclasses.replace(optimizer, grid_moduli=ctl.grid_moduli,
+                              grid_phase=ctl.grid_phase)
     C = coefficient_grid(d + 1, opt)
     pn = grid_density(V, C, m, weights=W)
     return float(W @ grid_density(V, C, m, pn=pn))

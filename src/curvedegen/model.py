@@ -155,6 +155,12 @@ class DualGraphModel:
                 locations[key] = []
                 groups_on[p.host].append(locations[key])
             locations[key].append(p)
+        for p in self.marks:
+            other = mark_by_id.get(p.merge_group)
+            if other is not None and other.host == p.host and not other.merge_group:
+                raise ValueError(
+                    f"mark {p.id}: merge group {p.merge_group} on {p.host} is named "
+                    f"like the ungrouped mark {other.id} there")
         object.__setattr__(self, "_components", by_id)
         object.__setattr__(self, "_edges", edge_by_id)
         object.__setattr__(self, "_marks", mark_by_id)

@@ -1,8 +1,13 @@
 """End-to-end command line runs, in process."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import curvedegen
 from curvedegen.cli import main
 from curvedegen.errors import InternalConsistencyError, NumericalConvergenceError
 
@@ -78,6 +83,13 @@ class TestValidate:
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/path.cdm"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_group_named_like_ungrouped_mark(self, tmp_path, capsys):
+        path = tmp_path / "clash.cdm"
+        path.write_text("model {\n  m = 3;\n  vertex C { genus = 2 };\n"
+                        "  mark Q on C coeff 1;\n  mark P on C coeff 1 group Q\n}\n")
+        assert main(["validate", str(path)]) == 1
+        assert "mark P: merge group Q on C" in capsys.readouterr().err
 
 
 class TestReduce:
@@ -278,6 +290,18 @@ class TestVerify:
                 "--logt", "100,10"]
         assert main(argv) == 1
         assert "increasing" in capsys.readouterr().err
+
+
+class TestStartup:
+    def test_import_loads_no_scipy(self):
+        # every command pays the package import; numpy is the one dependency
+        src = Path(curvedegen.__file__).resolve().parents[1]
+        code = ("import sys, curvedegen, curvedegen.cli; "
+                "print(sorted(k for k in sys.modules if k.startswith('scipy')))")
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert run.stdout.strip() == "[]"
 
 
 class TestExitCodes:

@@ -22,6 +22,15 @@ def perturbed_pole(m=2, corr=0.3):
 
 EXACT_PAIR = [LaurentFamily.from_w_powers(2, {0: 1.0}),
               LaurentFamily.from_w_powers(2, {1: 1.0})]
+# m = 3 systems whose extremal combinations cancel the z-side pole, a
+# ridge that coordinate steps alone do not follow
+THREE_M3 = [LaurentFamily.from_dict(3, {(0, 0): 1.0, (1, 0): 0.4}),
+            LaurentFamily.from_w_powers(3, {1: 1.0, 2: 0.3j}),
+            LaurentFamily.from_w_powers(3, {2: 1.0, 0: 0.2})]
+FOUR_M3 = [LaurentFamily.from_w_powers(3, {0: 1.0, 2: 0.25}),
+           LaurentFamily.from_w_powers(3, {1: 1.0}),
+           LaurentFamily.from_w_powers(3, {2: 1.0, 1: -0.4j}),
+           LaurentFamily.from_dict(3, {(1, 0): 1.0, (0, 1): 0.3})]
 
 
 class TestSpec:
@@ -145,6 +154,20 @@ class TestNSDensity:
         r = logt ** -3.0
         d = ns_density(EXACT_PAIR, logt, complex(r, 0.0))
         assert d * 2 * math.pi * r * r * logt == pytest.approx(1.0, rel=0.1)
+
+    @pytest.mark.parametrize("families, w, earlier", [
+        (THREE_M3, 0.1 + 0.3j, 0.46341650751854213),
+        (THREE_M3, 0.7 + 0.0j, 0.20995506088207866),
+        (FOUR_M3, 0.05 + 0.0j, 5.814800190658801),
+        (FOUR_M3, 0.7 + 0.0j, 0.2783635399550887),
+    ])
+    def test_search_keeps_earlier_values(self, families, w, earlier):
+        # values of the 12-start Nelder-Mead search this one replaced
+        assert ns_density(families, 100.0, w) >= earlier * (1 - 1e-12)
+
+    def test_two_member_value_unchanged(self):
+        d = ns_density(EXACT_PAIR, 1000.0, 0.2 + 0.2j)
+        assert d == pytest.approx(0.5626976975981922, rel=1e-12)
 
     def test_matrix_density_positive(self):
         fams = [perturbed_pole(), LaurentFamily.from_w_powers(2, {1: 1.0})]

@@ -1,8 +1,10 @@
 """Depth-grid convergence experiments and their deterministic tables."""
 import math
 
+import numpy as np
 import pytest
 
+import curvedegen.experiments
 from curvedegen import LaurentFamily
 from curvedegen.experiments import (
     ExperimentResult,
@@ -74,6 +76,18 @@ class TestRegionExperiment:
                                      f_label="u", logt_grid=SHORT_GRID)
         assert res.reference[0] == pytest.approx(0.04, rel=1e-9)
         assert res.metadata["weight"] == "u"
+
+    def test_reference_integral_matches_closed_form(self, monkeypatch):
+        # only the reference column is under test, so skip the masses
+        monkeypatch.setattr(curvedegen.experiments, "region_tau_mass",
+                            lambda *args, **kwargs: 0.0)
+        a, b = 0.2, 0.7
+        for f, exact in ((lambda u: u ** 2, (b ** 3 - a ** 3) / 3),
+                         (lambda u: np.cos(3 * u),
+                          (math.sin(3 * b) - math.sin(3 * a)) / 3)):
+            res = region_mass_experiment(PAIR, (a, b), f=f, logt_grid=SHORT_GRID)
+            for ref in res.reference:
+                assert abs(ref - exact) <= 1e-13 * abs(exact)
 
 
 class TestResultTable:

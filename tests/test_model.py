@@ -63,6 +63,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             MarkedPoint("P", "A", 0)
 
+    def test_merge_group_named_like_ungrouped_mark_rejected(self):
+        # keyed by (host, group or id), P would silently sit at Q's point
+        for marks in ([("Q", "C", 1), ("P", "C", 1, "Q")],
+                      [("P", "C", 1, "Q"), ("Q", "C", 1)]):
+            with pytest.raises(ValueError, match="mark P: merge group Q on C"):
+                make_model(3, [("C", 2)], [], marks)
+
+    def test_merge_group_named_like_mark_elsewhere_allowed(self):
+        model = make_model(3, [("C", 2), ("D", 2)], [("C", "D")],
+                           [("Q", "D", 1), ("P", "C", 1, "Q"), ("R", "C", 1, "R")])
+        assert sorted(model.mark_locations()) == [("C", "Q"), ("C", "R"), ("D", "Q")]
+
 
 class TestAccessors:
     def test_edge_length_is_inverse_multiplicity_product(self):
