@@ -18,7 +18,6 @@ from .errors import (
 )
 from .density import (
     OptimizerSpec,
-    QuadratureSpec,
     SectionSystem,
     ns_density,
     pairing_matrix,

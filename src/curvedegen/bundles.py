@@ -26,11 +26,6 @@ class BundleDescriptor:
     mark_degree: int
 
     @property
-    def node_pole_order(self) -> int:
-        # sections may have poles of order m-1 at each node
-        return self.m - 1
-
-    @property
     def degree(self) -> int:
         return (self.m * (2 * self.genus - 2)
                 + (self.m - 1) * self.valency

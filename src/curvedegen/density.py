@@ -20,10 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalConsistencyError, NumericalConvergenceError
-from .laurent import LaurentFamily, eval_table, fiber_value, side_tables
+from .laurent import eval_table, fiber_value, side_tables
 
 __all__ = [
-    "QuadratureSpec",
     "OptimizerSpec",
     "SectionSystem",
     "coefficient_grid",
@@ -36,8 +35,14 @@ __all__ = [
     "region_tau_mass",
 ]
 
+# The node-chart grid: panels of _GL_ORDER Gauss-Legendre nodes and length
+# _PANEL_LENGTH resolve s in [0, _PANEL_CUT], where fiber sections have
+# their s = O(1) features, and one tail panel covers the rest; _N_ANGULAR
+# uniform angular nodes.
 _GL_ORDER = 32
 _PANEL_LENGTH = 5.0
+_PANEL_CUT = 50.0
+_N_ANGULAR = 64
 _TINY_DENSITY = 1e-250
 _BLOCK_ENTRIES = 4_000_000  # entries of |S C^T| held at once
 _POLISH_START = 0.25   # first compass step on the coefficient sphere
@@ -47,27 +52,8 @@ _ROW_FLOOR = 1e-8      # majorizer weights floor |S_i c| at this fraction of |S_
 
 
 @dataclass(frozen=True)
-class QuadratureSpec:
-    """Resolution of the frozen node-chart grid.
-
-    ``panel_cut`` bounds the resolved part of the s range; features of
-    fiber sections live at s = O(1), so 50 is generous.  ``n_angular`` is
-    the angular node count.
-    """
-
-    n_angular: int = 64
-    panel_cut: float = 50.0
-
-    def __post_init__(self):
-        if self.n_angular < 8:
-            raise ValueError("need at least eight angular nodes")
-        if self.panel_cut <= 0:
-            raise ValueError("panel_cut must be positive")
-
-
-@dataclass(frozen=True)
 class OptimizerSpec:
-    """Controls for coefficient-sphere searches.
+    """Seed of the coefficient-sphere searches.
 
     The sphere of coefficient lines is scanned on a deterministic grid
     (moduli x relative phases for two-member families, seeded random
@@ -79,12 +65,6 @@ class OptimizerSpec:
     """
 
     seed: int = 2024
-    grid_moduli: int = 33
-    grid_phase: int = 32
-
-    def __post_init__(self):
-        if self.grid_moduli < 2 or self.grid_phase < 2:
-            raise ValueError("coefficient grid needs at least two steps per direction")
 
 
 def gauss_panels(edges, order: int = _GL_ORDER) -> tuple[np.ndarray, np.ndarray]:
@@ -96,31 +76,62 @@ def gauss_panels(edges, order: int = _GL_ORDER) -> tuple[np.ndarray, np.ndarray]
     return (0.5 * (b - a) * xs + 0.5 * (a + b)).ravel(), (0.5 * (b - a) * ws).ravel()
 
 
-def _gauss_nodes(logt: float, panel_cut: float) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_nodes(logt: float, panel_length: float) -> tuple[np.ndarray, np.ndarray]:
     """Composite GL nodes and weights on [0, logt/2], tail in one panel."""
     half = logt / 2.0
-    resolved = min(half, panel_cut)
-    n_panels = max(2, int(math.ceil(resolved / _PANEL_LENGTH)))
+    resolved = min(half, _PANEL_CUT)
+    n_panels = max(2, int(math.ceil(resolved / panel_length)))
     edges = list(np.linspace(0.0, resolved, n_panels + 1))
     if half > resolved:
         edges.append(half)
     return gauss_panels(edges)
 
 
-def coefficient_grid(n_families: int, optimizer: OptimizerSpec | None = None) -> np.ndarray:
+def _side_values(tables, side: int, logt: float, s: np.ndarray,
+                 phi: np.ndarray) -> np.ndarray:
+    """Values of every family on one side over the (s, phi) grid, (N, M)."""
+    S = np.zeros((len(s) * len(phi), len(tables)), dtype=complex)
+    for j, tab in enumerate(tables):
+        S[:, j] = eval_table(tab[side], logt, s, phi).reshape(-1)
+    return S
+
+
+def _chart_grid(tables, n_charts: int, logt: float, panel_length: float,
+                n_angular: int) -> tuple[np.ndarray, np.ndarray]:
+    """Section values S (N, M) and area weights (N,) at the nodes of both
+    sides of ``n_charts`` charts, each carrying every family."""
+    s_nodes, s_weights = _gauss_nodes(logt, panel_length)
+    phi = np.arange(n_angular) * (2.0 * np.pi / n_angular)
+    sides = np.concatenate([_side_values(tables, side, logt, s_nodes, phi)
+                            for side in (0, 1)])
+    weights = np.repeat(s_weights, n_angular) * (2.0 * np.pi / n_angular)
+    return np.tile(sides, (n_charts, 1)), np.tile(weights, 2 * n_charts)
+
+
+def _envelope(S: np.ndarray, weights: np.ndarray, m: int) -> float:
+    # sqrt(sum_j |S_j|^2)^(2/m) dominates every unit combination; the row
+    # sums run as a product with ones, which is several times faster than
+    # sum(axis=1) over a few columns
+    return float(weights @ ((np.abs(S) ** 2) @ np.ones(S.shape[1])) ** (1.0 / m))
+
+
+def coefficient_grid(n_families: int, optimizer: OptimizerSpec | None = None,
+                     moduli: int = 33, phase: int = 32) -> np.ndarray:
     """Deterministic unit vectors sampling the coefficient sphere, (K, M).
 
-    Always contains the coordinate axes, so grid maxima of normalized
-    densities never fall below any single member's own density.
+    Two-member families get ``moduli`` x ``phase`` points; larger ones the
+    axes, the pairwise diagonals and seeded random directions up to that
+    count.  Always contains the coordinate axes, so grid maxima of
+    normalized densities never fall below any single member's own density.
     """
     opt = optimizer or OptimizerSpec()
     if n_families == 1:
         return np.ones((1, 1), dtype=complex)
     if n_families == 2:
-        eta = np.linspace(0.0, np.pi / 2.0, opt.grid_moduli)
-        delta = np.arange(opt.grid_phase) * (2.0 * np.pi / opt.grid_phase)
-        c0 = np.repeat(np.cos(eta), opt.grid_phase)
-        c1 = np.repeat(np.sin(eta), opt.grid_phase) * np.exp(1j * np.tile(delta, opt.grid_moduli))
+        eta = np.linspace(0.0, np.pi / 2.0, moduli)
+        delta = np.arange(phase) * (2.0 * np.pi / phase)
+        c0 = np.repeat(np.cos(eta), phase)
+        c1 = np.repeat(np.sin(eta), phase) * np.exp(1j * np.tile(delta, moduli))
         return np.stack([c0, c1], axis=1)
     rows = list(np.eye(n_families, dtype=complex))
     for j in range(n_families):
@@ -131,7 +142,7 @@ def coefficient_grid(n_families: int, optimizer: OptimizerSpec | None = None) ->
                 v[k] = z
                 rows.append(v / np.sqrt(2.0))
     rng = np.random.default_rng(opt.seed)
-    n_extra = max(0, opt.grid_moduli * opt.grid_phase - len(rows))
+    n_extra = max(0, moduli * phase - len(rows))
     raw = rng.standard_normal((n_extra, 2 * n_families))
     vecs = raw[:, ::2] + 1j * raw[:, 1::2]
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
@@ -164,15 +175,15 @@ def grid_density(S: np.ndarray, C: np.ndarray, m: int,
 class SectionSystem:
     """Frozen quadrature of a family system over all its half-annulus sides.
 
-    ``charts`` lists, per chart, the indices of the families present
-    there; the default replicates every family on max(chain_length)
-    charts.  ``S`` holds the scaled section values at all nodes, columns
-    indexed like ``families``, and ``weights`` the matching area weights.
+    Every family is replicated on max(chain_length) charts.  ``S`` holds
+    the scaled section values at all nodes, columns indexed like
+    ``families``, and ``weights`` the matching area weights.  The build
+    fails unless the envelope integral agrees, within 1e-6 relative, with
+    its value on a grid of half the panel length and twice the angular
+    nodes; ``grid_error`` is that difference.
     """
 
-    def __init__(self, families, logt: float,
-                 spec: QuadratureSpec | None = None,
-                 charts: tuple[tuple[int, ...], ...] | None = None):
+    def __init__(self, families, logt: float):
         families = tuple(families)
         if not families:
             raise ValueError("need at least one family")
@@ -184,54 +195,19 @@ class SectionSystem:
         self.families = families
         self.m = m
         self.logt = float(logt)
-        self.spec = spec or QuadratureSpec()
-        if charts is None:
-            charts = tuple(tuple(range(len(families)))
-                           for _ in range(max(f.chain_length for f in families)))
-        self.charts = charts
-
-        s_nodes, s_weights = _gauss_nodes(self.logt, self.spec.panel_cut)
-        n_phi = self.spec.n_angular
-        phi = np.arange(n_phi) * (2.0 * np.pi / n_phi)
-        dphi = 2.0 * np.pi / n_phi
 
         tables = [side_tables(f) for f in families]
-        blocks, wblocks = [], []
-        for members in charts:
-            for side in (0, 1):
-                block = np.zeros((len(s_nodes) * n_phi, len(families)), dtype=complex)
-                for j in members:
-                    vals = eval_table(tables[j][side], self.logt, s_nodes, phi)
-                    block[:, j] = vals.reshape(-1)
-                blocks.append(block)
-                wblocks.append(np.repeat(s_weights, n_phi) * dphi)
-        self.S = np.concatenate(blocks, axis=0)
-        self.weights = np.concatenate(wblocks)
-
-        self.grid_error = self._envelope_check(s_nodes, s_weights, n_phi, tables)
+        n_charts = max(f.chain_length for f in families)
+        self.S, self.weights = _chart_grid(tables, n_charts, self.logt,
+                                           _PANEL_LENGTH, _N_ANGULAR)
+        base = _envelope(self.S, self.weights, m)
+        fine = _envelope(*_chart_grid(tables, n_charts, self.logt,
+                                      _PANEL_LENGTH / 2.0, 2 * _N_ANGULAR), m)
+        self.grid_error = abs(fine - base) / max(abs(base), 1e-300)
         if self.grid_error > 1e-6:
             raise NumericalConvergenceError(
                 "frozen quadrature grid failed its refinement check",
                 diagnostics={"grid_error": self.grid_error, "logt": self.logt})
-
-    def _envelope_check(self, s_nodes, s_weights, n_phi, tables) -> float:
-        # The envelope sqrt(sum |S_j|^2)^(2/m) dominates every unit
-        # combination, so agreement under doubling certifies the grid.
-        def envelope(sn, sw, na):
-            ph = np.arange(na) * (2.0 * np.pi / na)
-            total = 0.0
-            for members in self.charts:
-                for side in (0, 1):
-                    acc = np.zeros((len(sn), na))
-                    for j in members:
-                        acc += np.abs(eval_table(tables[j][side], self.logt, sn, ph)) ** 2
-                    total += float((acc ** (1.0 / self.m)).sum(axis=1) @ sw) * (2.0 * np.pi / na)
-            return total
-
-        base = envelope(s_nodes, s_weights, n_phi)
-        fine_s, fine_w = _gauss_nodes(self.logt, self.spec.panel_cut / 2.0)
-        fine = envelope(fine_s, fine_w, 2 * n_phi)
-        return abs(fine - base) / max(abs(base), 1e-300)
 
     @property
     def n_nodes(self) -> int:
@@ -252,9 +228,7 @@ class SectionSystem:
         return grid_density(self.S if S is None else S, C, self.m, pn=pn_grid)
 
 
-def pseudonorm(combination, logt: float,
-               spec: QuadratureSpec | None = None,
-               charts: tuple[tuple[int, ...], ...] | None = None) -> float:
+def pseudonorm(combination, logt: float) -> float:
     """The pseudonorm (integral of |theta|^(2/m)) ** (m/2) of a combination.
 
     ``combination`` is a sequence of (coefficient, family) pairs sharing
@@ -262,7 +236,7 @@ def pseudonorm(combination, logt: float,
     """
     coeffs = np.array([c for c, _ in combination], dtype=complex)
     families = [f for _, f in combination]
-    system = SectionSystem(families, logt, spec=spec, charts=charts)
+    system = SectionSystem(families, logt)
     return system.pn(coeffs) ** (system.m / 2.0)
 
 
@@ -295,10 +269,8 @@ def _majorize(system: SectionSystem, v: np.ndarray, starts, scores,
 
 
 def ns_density(families, logt: float, w: complex,
-               spec: QuadratureSpec | None = None,
-               optimizer: OptimizerSpec | None = None,
-               charts: tuple[tuple[int, ...], ...] | None = None,
-               system: SectionSystem | None = None) -> float:
+               system: SectionSystem | None = None,
+               optimizer: OptimizerSpec | None = None) -> float:
     """Extremal density sup over unit combinations of |theta_c(w)|^(2/m) / pn(c).
 
     ``w`` is a point of the w side of the first chart; the returned value
@@ -307,7 +279,7 @@ def ns_density(families, logt: float, w: complex,
     step in one ``pn_batch`` call.  Every candidate is a unit coefficient
     vector, so the value is attained and bounds the sup from below.
     """
-    system = system or SectionSystem(families, logt, spec=spec, charts=charts)
+    system = system or SectionSystem(families, logt)
     m = system.m
     n = len(system.families)
     v = np.array([fiber_value(f, logt, w) for f in system.families])
@@ -355,17 +327,15 @@ def ns_density(families, logt: float, w: complex,
 
 
 def pairing_matrix(families, logt: float,
-                   spec: QuadratureSpec | None = None,
-                   optimizer: OptimizerSpec | None = None,
-                   charts: tuple[tuple[int, ...], ...] | None = None,
-                   system: SectionSystem | None = None) -> np.ndarray:
+                   system: SectionSystem | None = None,
+                   optimizer: OptimizerSpec | None = None) -> np.ndarray:
     """Hermitian matrix of integrals of theta_j conj(theta_k) / tau^(m-1).
 
     tau is the extremal density of the same system, realized per node as a
     grid maximum; the matrix is a Gram matrix against the positive weight
     tau^(1-m), so it must come out positive definite.
     """
-    system = system or SectionSystem(families, logt, spec=spec, charts=charts)
+    system = system or SectionSystem(families, logt)
     m = system.m
     C = coefficient_grid(len(system.families), optimizer)
     pn_grid = system.pn_batch(C)
@@ -385,11 +355,10 @@ def pairing_matrix(families, logt: float,
 
 
 def pb_density(families, logt: float, w: complex,
-               spec: QuadratureSpec | None = None,
-               optimizer: OptimizerSpec | None = None,
-               charts: tuple[tuple[int, ...], ...] | None = None) -> float:
+               system: SectionSystem | None = None,
+               optimizer: OptimizerSpec | None = None) -> float:
     """Density at w of the measure sum (conj(A)^-1)_jk theta_j conj(theta_k) / tau^(m-1)."""
-    system = SectionSystem(families, logt, spec=spec, charts=charts)
+    system = system or SectionSystem(families, logt)
     m = system.m
     A = pairing_matrix(families, logt, optimizer=optimizer, system=system)
     v = np.array([fiber_value(f, logt, w) for f in system.families])
@@ -406,10 +375,7 @@ def pb_density(families, logt: float, w: complex,
 
 
 def region_tau_mass(families, logt: float, region: tuple[float, float],
-                    f=None,
-                    spec: QuadratureSpec | None = None,
-                    optimizer: OptimizerSpec | None = None,
-                    n_u: int = 64, n_phi: int = 64) -> float:
+                    f=None, optimizer: OptimizerSpec | None = None) -> float:
     """Mass of the extremal measure over a skeleton-edge region.
 
     The edge is parameterized by u in [0, 1]; u <= 1/2 lives on the w side
@@ -424,7 +390,7 @@ def region_tau_mass(families, logt: float, region: tuple[float, float],
     a, b = region
     if not (0.0 <= a < b <= 1.0):
         raise ValueError("region must be a nondegenerate subinterval of [0, 1]")
-    system = SectionSystem(families, logt, spec=spec)
+    system = SectionSystem(families, logt)
     C = coefficient_grid(len(families), optimizer)
     pn_grid = system.pn_batch(C)
     tables = [side_tables(fam) for fam in families]
@@ -438,9 +404,7 @@ def region_tau_mass(families, logt: float, region: tuple[float, float],
         # one panel at a time bounds memory
         for u, wu in zip(u_all.reshape(n_sub, -1), w_all.reshape(n_sub, -1)):
             s = u * logt if side == 0 else (1.0 - u) * logt
-            S = np.zeros((len(u) * na, len(families)), dtype=complex)
-            for j, tab in enumerate(tables):
-                S[:, j] = eval_table(tab[side], logt, s, phi).reshape(-1)
+            S = _side_values(tables, side, logt, s, phi)
             tau = system.tau_normalized(C, pn_grid, S=S).reshape(len(u), na)
             fw = np.ones_like(u) if f is None else np.asarray(f(u), dtype=float)
             total += float((tau.sum(axis=1) * (2.0 * np.pi / na) * fw) @ wu) * logt
@@ -450,8 +414,8 @@ def region_tau_mass(families, logt: float, region: tuple[float, float],
         return (piece(a, min(b, 0.5), 0, n_sub, na)
                 + piece(max(a, 0.5), b, 1, n_sub, na))
 
-    n_sub = max(1, n_u // _GL_ORDER)
-    na = n_phi
+    # first level: two panels on each side's part, the chart's angular count
+    n_sub, na = 2, _N_ANGULAR
     iterates = [total_at(n_sub, na)]
     for _ in range(4):
         n_sub *= 2

@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import (OptimizerSpec, QuadratureSpec, gauss_panels, pairing_matrix,
-                      pseudonorm, region_tau_mass)
+from .density import OptimizerSpec, gauss_panels, pairing_matrix, pseudonorm, region_tau_mass
 from .laurent import LaurentFamily
 
 __all__ = [
@@ -82,8 +81,7 @@ def _result(name, grid, obs, ref, meta) -> ExperimentResult:
 
 
 def norm_asymptotics_experiment(family: LaurentFamily,
-                                logt_grid=DEFAULT_LOGT_GRID,
-                                spec: QuadratureSpec | None = None) -> ExperimentResult:
+                                logt_grid=DEFAULT_LOGT_GRID) -> ExperimentResult:
     """Pseudonorm of one family against its limit shape (2 pi l L)^(m/2).
 
     For a residue-one family crossing l nodes the ratio tends to 1; the
@@ -93,7 +91,7 @@ def norm_asymptotics_experiment(family: LaurentFamily,
     m, l = family.m, family.chain_length
     obs, ref = [], []
     for L in logt_grid:
-        obs.append(pseudonorm([(1.0, family)], L, spec=spec))
+        obs.append(pseudonorm([(1.0, family)], L))
         ref.append((2.0 * np.pi * l * L) ** (m / 2.0))
     meta = {"m": m, "chain_length": l, "truncation": family.truncation_order,
             "residue": complex(family.residue)}
@@ -103,7 +101,6 @@ def norm_asymptotics_experiment(family: LaurentFamily,
 def region_mass_experiment(families, region: tuple[float, float],
                            f=None, f_label: str = "1",
                            logt_grid=DEFAULT_LOGT_GRID,
-                           spec: QuadratureSpec | None = None,
                            optimizer: OptimizerSpec | None = None) -> ExperimentResult:
     """Extremal-measure mass of an edge region versus (1/l) * integral of f.
 
@@ -123,19 +120,18 @@ def region_mass_experiment(families, region: tuple[float, float],
     opt = optimizer or OptimizerSpec()
     obs, ref = [], []
     for L in logt_grid:
-        obs.append(region_tau_mass(families, L, region, f=f,
-                                   spec=spec, optimizer=opt))
+        obs.append(region_tau_mass(families, L, region, f=f, optimizer=opt))
         ref.append(f_int / l)
     meta = {"m": families[0].m, "n_families": len(families),
             "region": region, "weight": f_label, "seed": opt.seed}
     return _result("region-mass", logt_grid, obs, ref, meta)
 
 
-def _pairing_sweep(families, logt_grid, spec, optimizer):
+def _pairing_sweep(families, logt_grid, optimizer):
     """(depth grid, optimizer, pairing matrix at each depth)."""
     grid = _check_grid(logt_grid)
     opt = optimizer or OptimizerSpec()
-    return grid, opt, [pairing_matrix(families, L, spec=spec, optimizer=opt)
+    return grid, opt, [pairing_matrix(families, L, optimizer=opt)
                        for L in grid]
 
 
@@ -160,7 +156,6 @@ def _offdiag_result(families, pair, grid, opt, mats) -> ExperimentResult:
 
 def pairing_diag_experiment(families, member: int = 0,
                             logt_grid=DEFAULT_LOGT_GRID,
-                            spec: QuadratureSpec | None = None,
                             optimizer: OptimizerSpec | None = None) -> ExperimentResult:
     """A diagonal pairing entry against its residue-pole limit (2 pi l L)^m.
 
@@ -169,12 +164,11 @@ def pairing_diag_experiment(families, member: int = 0,
     """
     families = tuple(families)
     return _diag_result(families, member,
-                        *_pairing_sweep(families, logt_grid, spec, optimizer))
+                        *_pairing_sweep(families, logt_grid, optimizer))
 
 
 def pairing_offdiag_experiment(families, pair: tuple[int, int] = (0, 1),
                                logt_grid=DEFAULT_LOGT_GRID,
-                               spec: QuadratureSpec | None = None,
                                optimizer: OptimizerSpec | None = None) -> ExperimentResult:
     """Normalized off-diagonal pairing |A_jk| / sqrt(A_jj A_kk), limit zero.
 
@@ -183,16 +177,15 @@ def pairing_offdiag_experiment(families, pair: tuple[int, int] = (0, 1),
     """
     families = tuple(families)
     return _offdiag_result(families, pair,
-                           *_pairing_sweep(families, logt_grid, spec, optimizer))
+                           *_pairing_sweep(families, logt_grid, optimizer))
 
 
 def pairing_experiments(families, member: int = 0, pair: tuple[int, int] = (0, 1),
                         logt_grid=DEFAULT_LOGT_GRID,
-                        spec: QuadratureSpec | None = None,
                         optimizer: OptimizerSpec | None = None
                         ) -> tuple[ExperimentResult, ExperimentResult]:
     """The diagonal and off-diagonal experiments from one sweep of matrices."""
     families = tuple(families)
-    sweep = _pairing_sweep(families, logt_grid, spec, optimizer)
+    sweep = _pairing_sweep(families, logt_grid, optimizer)
     return (_diag_result(families, member, *sweep),
             _offdiag_result(families, pair, *sweep))

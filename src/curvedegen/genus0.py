@@ -15,14 +15,12 @@ come from a full pass at doubled resolution.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .density import (OptimizerSpec, QuadratureSpec, coefficient_grid, gauss_panels,
-                      grid_density)
+from .density import OptimizerSpec, coefficient_grid, gauss_panels, grid_density
 from .errors import NumericalConvergenceError
 
 __all__ = ["Genus0MassResult", "generic_configuration", "moebius_points",
@@ -181,23 +179,21 @@ def _mass_pass(points, coeffs, m: int, d: int, ctl: _Controls,
     nodes = [_chart_nodes(_Chart(points, coeffs, m, d, kind), ctl) for kind in ("w", "v")]
     V = np.concatenate([values for values, _ in nodes])
     W = np.concatenate([weights for _, weights in nodes])
-    opt = dataclasses.replace(optimizer, grid_moduli=ctl.grid_moduli,
-                              grid_phase=ctl.grid_phase)
-    C = coefficient_grid(d + 1, opt)
+    C = coefficient_grid(d + 1, optimizer, ctl.grid_moduli, ctl.grid_phase)
     pn = grid_density(V, C, m, weights=W)
     return float(W @ grid_density(V, C, m, pn=pn))
 
 
 def ns_mass_genus0(points, coefficients, m: int,
-                   quad: QuadratureSpec | None = None,
+                   quad=None,
                    optimizer: OptimizerSpec | None = None) -> Genus0MassResult:
     """Mass of the extremal measure for weighted points on the sphere.
 
     ``coefficients`` are the pole orders a_i, each in [1, m-1] so the
     local integrals converge; sum a_i must be at least 2m.  Points too
     close to the gluing circle |w| = 1 are rejected; move them first with
-    a Moebius transformation.  ``quad`` is accepted for API uniformity
-    (resolutions here are controlled internally and by ``optimizer``).
+    a Moebius transformation.  ``quad`` is ignored: the resolutions are
+    fixed here, and ``optimizer`` sets only the seed.
     """
     del quad
     points = tuple(complex(p) for p in points)

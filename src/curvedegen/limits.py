@@ -25,7 +25,7 @@ from .measures import (
 )
 from .model import (DualGraphModel, arithmetic_genus, is_connected, require_valid,
                     total_mark_degree)
-from .reduction import StableDualGraph, is_minimal, stable_dual_graph
+from .reduction import StableDualGraph, _stable_graph, is_minimal
 
 __all__ = [
     "DimensionSummary",
@@ -68,19 +68,27 @@ def dimension_summary(model: DualGraphModel, m: int | None = None) -> DimensionS
             "model is not minimal: contract it with minimal_snc_model first; "
             "the section count splits over the minimal model only"
         )
+    return _section_split(model)[0]
+
+
+def _section_split(model: DualGraphModel) -> tuple[
+        DimensionSummary, StableDualGraph, dict[str, BundleDescriptor]]:
+    """``dimension_summary`` of a valid minimal model, with the stable graph
+    and the component bundles it counts from."""
     mm = model.params.m
     g = arithmetic_genus(model)
     deg = total_mark_degree(model)
     M = (2 * mm - 1) * (g - 1) + deg
-    sg = stable_dual_graph(model)
-    counts = {c.id: h0(bundle_for(model, c.id)) for c in model.components}
+    sg = _stable_graph(model)
+    bundles = {c.id: bundle_for(model, c.id) for c in model.components}
+    counts = {cid: h0(b) for cid, b in bundles.items()}
     s = len(sg.chains)
     if M != s + sum(counts.values()):
         raise InternalConsistencyError(
             f"dimension split violated: M={M} but edges={s} and "
             f"component sections={sum(counts.values())}"
         )
-    return DimensionSummary(mm, g, deg, M, s, counts)
+    return DimensionSummary(mm, g, deg, M, s, counts), sg, bundles
 
 
 def _require_minimal_snc(model: DualGraphModel) -> None:
@@ -120,7 +128,7 @@ def ns_limit_measure(model: DualGraphModel, m: int | None = None,
     if m is not None:
         model = model.with_params(m)
     _require_minimal_snc(model)
-    sg = stable_dual_graph(model)
+    sg = _stable_graph(model)
     comps = {}
     for c in model.components:
         b = bundle_for(model, c.id)
@@ -162,16 +170,11 @@ def pb_limit_measure(model: DualGraphModel, m: int | None = None) -> CCMeasure:
     if m is not None:
         model = model.with_params(m)
     _require_minimal_snc(model)
-    summary = dimension_summary(model)
-    sg = stable_dual_graph(model)
+    summary, sg, bundles = _section_split(model)
     comps = {}
-    for c in model.components:
-        b = bundle_for(model, c.id)
-        n = summary.vertex_h0[c.id]
-        if n > 0:
-            comps[c.id] = pb_descriptor(b, n)
-        else:
-            comps[c.id] = zero_descriptor()
+    for cid, b in bundles.items():
+        n = summary.vertex_h0[cid]
+        comps[cid] = pb_descriptor(b, n) if n > 0 else zero_descriptor()
     measure = CCMeasure(model, "pb", comps, _edge_masses(model, sg))
     if measure.total_mass() != summary.M:
         raise InternalConsistencyError(

@@ -154,12 +154,6 @@ class CCMeasure:
             out = mass_add(out, a.mass)
         return out
 
-    def atom_at(self, location):
-        for a in self.atoms:
-            if a.location == location:
-                return a.mass
-        return Fraction(0)
-
 
 @dataclass(frozen=True)
 class HybMeasure:

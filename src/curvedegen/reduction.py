@@ -284,12 +284,6 @@ class StableDualGraph:
     def valency(self, vid: str) -> int:
         return sum(ch.endpoints.count(vid) for ch in self.chains)
 
-    def chain_length(self, chain_id: str) -> Fraction:
-        for ch in self.chains:
-            if ch.id == chain_id:
-                return ch.length
-        raise KeyError(chain_id)
-
 
 def stable_graph(m, vertices, edges) -> StableDualGraph:
     """Directly build a stable graph; closed edges (self-nodes) allowed.
@@ -310,6 +304,11 @@ def stable_dual_graph(model: DualGraphModel, m: int | None = None) -> StableDual
     if m is not None:
         model = model.with_params(m)
     require_valid(model)
+    return _stable_graph(model)
+
+
+def _stable_graph(model: DualGraphModel) -> StableDualGraph:
+    """``stable_dual_graph`` of a model already known to be valid."""
     inessential = {
         c.id for c in model.components
         if is_inessential(c.genus, model.valency(c.id), model.mark_degree(c.id))
@@ -318,17 +317,11 @@ def stable_dual_graph(model: DualGraphModel, m: int | None = None) -> StableDual
     if not essential:
         raise ModelValidationError("all components are inessential")
 
-    incident: dict[str, list[Edge]] = {c.id: [] for c in model.components}
-    for e in model.edges:
-        incident[e.endpoints[0]].append(e)
-        if e.endpoints[1] != e.endpoints[0]:
-            incident[e.endpoints[1]].append(e)
-
     used: set[str] = set()
     chains: list[ChainEdge] = []
     counter = itertools.count(0)
     for v0 in sorted(essential):
-        for first in sorted(incident[v0], key=lambda e: e.id):
+        for first in sorted(model.edges_at(v0), key=lambda e: e.id):
             if first.id in used:
                 continue
             # walk away from v0 through inessential vertices
@@ -339,7 +332,7 @@ def stable_dual_graph(model: DualGraphModel, m: int | None = None) -> StableDual
             while cur in inessential:
                 interior.append(cur)
                 nxt = None
-                for cand in sorted(incident[cur], key=lambda x: x.id):
+                for cand in sorted(model.edges_at(cur), key=lambda x: x.id):
                     if cand.id != last_edge.id:
                         nxt = cand
                         break

@@ -6,7 +6,6 @@ import pytest
 
 from curvedegen import LaurentFamily, NumericalConvergenceError
 from curvedegen.density import (
-    QuadratureSpec,
     SectionSystem,
     ns_density,
     pairing_matrix,
@@ -31,16 +30,6 @@ FOUR_M3 = [LaurentFamily.from_w_powers(3, {0: 1.0, 2: 0.25}),
            LaurentFamily.from_w_powers(3, {1: 1.0}),
            LaurentFamily.from_w_powers(3, {2: 1.0, 1: -0.4j}),
            LaurentFamily.from_dict(3, {(1, 0): 1.0, (0, 1): 0.3})]
-
-
-class TestSpec:
-    def test_minimum_grid_size(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(n_angular=4)
-
-    def test_positive_panel_cut(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(panel_cut=-1.0)
 
 
 class TestPseudonorm:
@@ -72,6 +61,15 @@ class TestPseudonorm:
         assert abs(ratios[1] - 1.0) < 5e-3
         gaps = [abs(r - 1.0) for r in ratios]
         assert gaps[0] > gaps[1] > gaps[2]
+
+    def test_grid_certificate_refines_in_s(self):
+        # w^60 decays on s ~ 1/60, which the panels of length 5 do not
+        # resolve; a certificate that refines only the angle passes it
+        with pytest.raises(NumericalConvergenceError) as info:
+            SectionSystem([LaurentFamily.from_w_powers(2, {60: 1.0})], 100.0)
+        assert info.value.diagnostics["grid_error"] > 1e-6
+        system = SectionSystem([LaurentFamily.from_w_powers(2, {40: 1.0})], 100.0)
+        assert 1e-8 <= system.grid_error <= 1e-6
 
     def test_batch_agrees_with_single(self):
         sys2 = SectionSystem(EXACT_PAIR, 100.0)

@@ -108,6 +108,26 @@ class TestPBLimit:
             mu = pb_limit_measure(model)
             assert mu.total_mass() == dimension_summary(model).M
 
+    def test_validates_once(self, monkeypatch):
+        import curvedegen.bundles
+        import curvedegen.model
+        calls = {"validate": 0, "bundle_for": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+        monkeypatch.setattr(curvedegen.model, "validate",
+                            counted(curvedegen.model, "validate"))
+        monkeypatch.setattr("curvedegen.limits.bundle_for",
+                            counted(curvedegen.bundles, "bundle_for"))
+        pb_limit_measure(chain3())
+        # one validation, one bundle for each of the three components
+        assert calls == {"validate": 1, "bundle_for": 3}
+
 
 class TestDimensionSummary:
     def test_non_minimal_models_point_to_reduction(self):
