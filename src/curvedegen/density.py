@@ -44,7 +44,12 @@ _PANEL_LENGTH = 5.0
 _PANEL_CUT = 50.0
 _N_ANGULAR = 64
 _TINY_DENSITY = 1e-250
-_BLOCK_ENTRIES = 4_000_000  # entries of |S C^T| held at once
+# pn sums weights @ |S C^T|^(2/m) over node blocks of this many entries;
+# the block fixes pn's summation order, so changing it changes pn's rounding
+_BLOCK_ENTRIES = 4_000_000
+# entries of S C^T computed at once (512 KB complex): bounds the kernel's
+# temporaries to buffers that stay in cache
+_SUB_ENTRIES = 32_768
 _POLISH_START = 0.25   # first compass step on the coefficient sphere
 _POLISH_STOP = 1e-9    # the compass search ends once its step falls below this
 _POLISH_ROUNDS = 200   # majorization steps per start, and compass steps per call
@@ -150,6 +155,18 @@ def coefficient_grid(n_families: int, optimizer: OptimizerSpec | None = None,
     return np.array(rows)
 
 
+def _sub_blocks(lo: int, hi: int, rows: int):
+    """Row ranges of at most ``rows + 1`` rows covering [lo, hi).  A lone
+    last row joins the range before it: numpy multiplies a single row as a
+    vector, with other rounding than a matrix of rows."""
+    while lo < hi:
+        end = min(lo + rows, hi)
+        if hi - end == 1:
+            end = hi
+        yield lo, end
+        lo = end
+
+
 def grid_density(S: np.ndarray, C: np.ndarray, m: int,
                  weights: np.ndarray | None = None,
                  pn: np.ndarray | None = None) -> np.ndarray:
@@ -158,17 +175,37 @@ def grid_density(S: np.ndarray, C: np.ndarray, m: int,
     ``S`` (N, M) holds section values at N nodes.  Given ``weights`` (N,),
     returns the grid pseudonorms pn(c) = weights @ |S c|^(2/m), shape (K,);
     given ``pn`` (K,), the grid-max normalized density max_c |S c|^(2/m) /
-    pn(c) per node, shape (N,).  Node rows go in blocks of at most about
-    4e6 values.
+    pn(c) per node, shape (N,).
+
+    Two block sizes, both in buffers allocated once per call: pn is summed
+    over node blocks of about 4e6 values (``_BLOCK_ENTRIES``), which fixes
+    its summation order; within a block, S C^T and its powers are formed
+    about 32k values at a time (``_SUB_ENTRIES``), which keeps these
+    temporaries in cache.
     """
-    block = max(1, _BLOCK_ENTRIES // max(len(C), 1))
-    out = np.zeros(len(C)) if pn is None else np.empty(len(S))
-    for lo in range(0, len(S), block):
-        vals = np.abs(S[lo:lo + block] @ C.T) ** (2.0 / m)
+    n, k = len(S), len(C)
+    p = 2.0 / m
+    block = max(1, _BLOCK_ENTRIES // max(k, 1))
+    rows = max(1, _SUB_ENTRIES // max(k, 1))
+    z = np.empty((min(rows + 1, n), k), dtype=complex)
+    if pn is None:
+        out = np.zeros(k)
+        vals = np.empty((min(block, n), k))
+    else:
+        out = np.empty(n)
+        vals = np.empty((min(rows + 1, n), k))
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        for r0, r1 in _sub_blocks(lo, hi, rows):
+            a = vals[r0 - lo:r1 - lo] if pn is None else vals[:r1 - r0]
+            np.abs(np.matmul(S[r0:r1], C.T, out=z[:r1 - r0]), out=a)
+            if p != 1.0:
+                np.power(a, p, out=a)
+            if pn is not None:
+                np.divide(a, pn, out=a)
+                np.max(a, axis=1, out=out[r0:r1])
         if pn is None:
-            out += weights[lo:lo + block] @ vals
-        else:
-            np.max(vals / pn[None, :], axis=1, out=out[lo:lo + block])
+            out += weights[lo:hi] @ vals[:hi - lo]
     return out
 
 
@@ -177,10 +214,11 @@ class SectionSystem:
 
     Every family is replicated on max(chain_length) charts.  ``S`` holds
     the scaled section values at all nodes, columns indexed like
-    ``families``, and ``weights`` the matching area weights.  The build
-    fails unless the envelope integral agrees, within 1e-6 relative, with
-    its value on a grid of half the panel length and twice the angular
-    nodes; ``grid_error`` is that difference.
+    ``families``, ``weights`` the matching area weights, and ``tables``
+    the families' side tables.  The build fails unless the envelope
+    integral agrees, within 1e-6 relative, with its value on a grid of
+    half the panel length and twice the angular nodes; ``grid_error`` is
+    that difference.
     """
 
     def __init__(self, families, logt: float):
@@ -196,10 +234,11 @@ class SectionSystem:
         self.m = m
         self.logt = float(logt)
 
-        tables = [side_tables(f) for f in families]
+        self.tables = tables = [side_tables(f) for f in families]
         n_charts = max(f.chain_length for f in families)
         self.S, self.weights = _chart_grid(tables, n_charts, self.logt,
                                            _PANEL_LENGTH, _N_ANGULAR)
+        self._grid_pn: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         base = _envelope(self.S, self.weights, m)
         fine = _envelope(*_chart_grid(tables, n_charts, self.logt,
                                       _PANEL_LENGTH / 2.0, 2 * _N_ANGULAR), m)
@@ -221,6 +260,18 @@ class SectionSystem:
     def pn_batch(self, grid: np.ndarray) -> np.ndarray:
         """Same integral for every row of a (K, M) coefficient grid."""
         return grid_density(self.S, grid, self.m, weights=self.weights)
+
+    def grid_pn(self, optimizer: OptimizerSpec | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """The coefficient grid and its pseudonorms, read-only and scored
+        once per optimizer seed."""
+        seed = (optimizer or OptimizerSpec()).seed
+        if seed not in self._grid_pn:
+            C = coefficient_grid(len(self.families), optimizer)
+            pn_grid = self.pn_batch(C)
+            C.flags.writeable = pn_grid.flags.writeable = False
+            self._grid_pn[seed] = (C, pn_grid)
+        return self._grid_pn[seed]
 
     def tau_normalized(self, C: np.ndarray, pn_grid: np.ndarray,
                        S: np.ndarray | None = None) -> np.ndarray:
@@ -290,13 +341,14 @@ def ns_density(families, logt: float, w: complex,
             return 0.0
         return math.exp((2.0 / m) * math.log(val) + log_area) / system.pn([1.0])
 
-    def log_density(C: np.ndarray) -> np.ndarray:
+    def log_density(C: np.ndarray, pn_c: np.ndarray | None = None) -> np.ndarray:
         amps = np.abs(C @ v)
         with np.errstate(divide="ignore"):
-            return (2.0 / m) * np.log(amps) - np.log(system.pn_batch(C))
+            return (2.0 / m) * np.log(amps) - np.log(
+                system.pn_batch(C) if pn_c is None else pn_c)
 
-    grid = coefficient_grid(n, optimizer)
-    scores = log_density(grid)
+    grid, pn_grid = system.grid_pn(optimizer)
+    scores = log_density(grid, pn_grid)
     order = np.argsort(scores)[::-1]
     if not math.isfinite(scores[order[0]]):
         raise NumericalConvergenceError(
@@ -337,9 +389,7 @@ def pairing_matrix(families, logt: float,
     """
     system = system or SectionSystem(families, logt)
     m = system.m
-    C = coefficient_grid(len(system.families), optimizer)
-    pn_grid = system.pn_batch(C)
-    tau = system.tau_normalized(C, pn_grid)
+    tau = system.tau_normalized(*system.grid_pn(optimizer))
     # Where every section is microscopic the contribution is provably
     # below tau^(1/m)-type tails; dropping it avoids 0 * inf.
     mask = tau > _TINY_DENSITY
@@ -391,9 +441,7 @@ def region_tau_mass(families, logt: float, region: tuple[float, float],
     if not (0.0 <= a < b <= 1.0):
         raise ValueError("region must be a nondegenerate subinterval of [0, 1]")
     system = SectionSystem(families, logt)
-    C = coefficient_grid(len(families), optimizer)
-    pn_grid = system.pn_batch(C)
-    tables = [side_tables(fam) for fam in families]
+    C, pn_grid = system.grid_pn(optimizer)
 
     def piece(lo: float, hi: float, side: int, n_sub: int, na: int) -> float:
         if hi <= lo:
@@ -404,7 +452,7 @@ def region_tau_mass(families, logt: float, region: tuple[float, float],
         # one panel at a time bounds memory
         for u, wu in zip(u_all.reshape(n_sub, -1), w_all.reshape(n_sub, -1)):
             s = u * logt if side == 0 else (1.0 - u) * logt
-            S = _side_values(tables, side, logt, s, phi)
+            S = _side_values(system.tables, side, logt, s, phi)
             tau = system.tau_normalized(C, pn_grid, S=S).reshape(len(u), na)
             fw = np.ones_like(u) if f is None else np.asarray(f(u), dtype=float)
             total += float((tau.sum(axis=1) * (2.0 * np.pi / na) * fw) @ wu) * logt

@@ -1,12 +1,16 @@
 """Pseudonorms, Narasimhan-Simha pairing, extremal and matrix densities."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from curvedegen import LaurentFamily, NumericalConvergenceError
+from curvedegen import density
 from curvedegen.density import (
     SectionSystem,
+    coefficient_grid,
+    grid_density,
     ns_density,
     pairing_matrix,
     pb_density,
@@ -26,10 +30,81 @@ EXACT_PAIR = [LaurentFamily.from_w_powers(2, {0: 1.0}),
 THREE_M3 = [LaurentFamily.from_dict(3, {(0, 0): 1.0, (1, 0): 0.4}),
             LaurentFamily.from_w_powers(3, {1: 1.0, 2: 0.3j}),
             LaurentFamily.from_w_powers(3, {2: 1.0, 0: 0.2})]
+# the benchmark's pair
+BENCH_PAIR = [LaurentFamily.pole(2), LaurentFamily.from_w_powers(2, {1: 1.0})]
 FOUR_M3 = [LaurentFamily.from_w_powers(3, {0: 1.0, 2: 0.25}),
            LaurentFamily.from_w_powers(3, {1: 1.0}),
            LaurentFamily.from_w_powers(3, {2: 1.0, 1: -0.4j}),
            LaurentFamily.from_dict(3, {(1, 0): 1.0, (0, 1): 0.3})]
+
+
+def one_shot_density(S, C, m, weights=None, pn=None):
+    """grid_density without blocks: the reference for its streamed body."""
+    vals = np.abs(S @ C.T) ** (2.0 / m)
+    return weights @ vals if pn is None else np.max(vals / pn, axis=1)
+
+
+class TestKernel:
+    SUB = density._SUB_ENTRIES
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("n_nodes, n_rows", [
+        (500, 32),                    # fewer nodes than one sub-block
+        (8000, 1056),                 # several pn blocks, ragged sub-blocks
+        (31 * 40 + 1, 1056),          # a lone row left after the sub-blocks
+        (70_001, 1),                  # one coefficient row
+        (40, density._SUB_ENTRIES + 100),  # one node row per sub-block
+    ])
+    def test_matches_one_shot(self, m, n_nodes, n_rows):
+        rng = np.random.default_rng(n_nodes + n_rows + m)
+        S = rng.standard_normal((n_nodes, 3)) + 1j * rng.standard_normal((n_nodes, 3))
+        C = rng.standard_normal((n_rows, 3)) + 1j * rng.standard_normal((n_rows, 3))
+        C /= np.linalg.norm(C, axis=1, keepdims=True)
+        weights = rng.uniform(0.1, 1.0, n_nodes)
+        pn = grid_density(S, C, m, weights=weights)
+        np.testing.assert_allclose(pn, one_shot_density(S, C, m, weights=weights),
+                                   rtol=1e-13, atol=0)
+        np.testing.assert_array_max_ulp(grid_density(S, C, m, pn=pn),
+                                        one_shot_density(S, C, m, pn=pn), maxulp=4)
+
+    def test_peak_memory_of_density_calls(self):
+        # the kernel streams through cache-sized buffers; materializing
+        # |S C^T| per 4e6-entry block peaked above 120 MB here
+        calls = [lambda: pairing_matrix(BENCH_PAIR, 1000.0),
+                 lambda: ns_density(BENCH_PAIR, 1000.0, 0.3 + 0.1j),
+                 lambda: region_tau_mass(BENCH_PAIR, 1000.0, (0.2, 0.4))]
+        tracemalloc.start()
+        try:
+            for call in calls:
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                call()
+                assert tracemalloc.get_traced_memory()[1] - start <= 40e6
+        finally:
+            tracemalloc.stop()
+
+    def test_grid_scored_once_per_system(self, monkeypatch):
+        grid_rows = len(coefficient_grid(2))
+        scored = []
+        batch = SectionSystem.pn_batch
+
+        def counted(self, grid):
+            scored.append(len(grid))
+            return batch(self, grid)
+
+        def fresh(self, optimizer=None):
+            C = coefficient_grid(len(self.families), optimizer)
+            return C, self.pn_batch(C)
+
+        monkeypatch.setattr(SectionSystem, "pn_batch", counted)
+        value = pb_density(BENCH_PAIR, 1000.0, 0.3 + 0.1j)
+        assert scored.count(grid_rows) == 1
+        # scoring the grid afresh for each reader, as before, changes no bit
+        scored.clear()
+        monkeypatch.setattr(SectionSystem, "grid_pn", fresh)
+        assert pb_density(BENCH_PAIR, 1000.0, 0.3 + 0.1j) == value
+        assert scored.count(grid_rows) == 2
+        assert value == pytest.approx(0.5035471076097511, rel=1e-12)
 
 
 class TestPseudonorm:
@@ -166,6 +241,23 @@ class TestNSDensity:
     def test_two_member_value_unchanged(self):
         d = ns_density(EXACT_PAIR, 1000.0, 0.2 + 0.2j)
         assert d == pytest.approx(0.5626976975981922, rel=1e-12)
+
+    @pytest.mark.parametrize("logt, diagonal, cross", [
+        (100.0, (380471.9998042481, 39.278467994169844), 11.783352007854983),
+        (1000.0, (39245276.56915179, 39.45882318636637), 11.837637244017422),
+        (10000.0, (3944600130.7517347, 39.47644168735521), 11.842931914356512),
+    ])
+    def test_pairing_entries_unchanged(self, logt, diagonal, cross):
+        fams = [perturbed_pole(), LaurentFamily.from_w_powers(2, {1: 1.0})]
+        A = np.asarray(pairing_matrix(fams, logt))
+        assert A[0, 0].real == pytest.approx(diagonal[0], rel=1e-12)
+        assert A[1, 1].real == pytest.approx(diagonal[1], rel=1e-12)
+        assert A[0, 1].real == pytest.approx(cross, rel=1e-12)
+        assert abs(A[0, 1].imag) < 1e-12 * cross
+
+    def test_region_mass_value_unchanged(self):
+        val = region_tau_mass(EXACT_PAIR, 1000.0, (0.2, 0.4))
+        assert val == pytest.approx(0.19999999999999982, rel=1e-12)
 
     def test_matrix_density_positive(self):
         fams = [perturbed_pole(), LaurentFamily.from_w_powers(2, {1: 1.0})]
