@@ -11,9 +11,17 @@ Density conventions: values are densities against the Euclidean area
 measure of the chart coordinate.  The m-th root trick applies throughout:
 a family theta is handled through p = w^m * theta_t, whose 2/m power
 absorbs both the pole and the area rescaling.
+
+Every density goes through one kernel, ``grid_density``.  It sums the
+pseudonorms pn(c) of a coefficient grid, and it takes the extremal density
+at each node as the grid maximum of |S c|^(2/m) / pn(c).  A real Gram form
+picks the maximizing column, a bound on its rounding certifies the pick,
+and the value is read from S C^T, so the maximum is always attained by a
+grid combination.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,13 +51,14 @@ _GL_ORDER = 32
 _PANEL_LENGTH = 5.0
 _PANEL_CUT = 50.0
 _N_ANGULAR = 64
-_TINY_DENSITY = 1e-250
 # pn sums weights @ |S C^T|^(2/m) over node blocks of this many entries;
 # the block fixes pn's summation order, so changing it changes pn's rounding
 _BLOCK_ENTRIES = 4_000_000
 # entries of S C^T computed at once (512 KB complex): bounds the kernel's
 # temporaries to buffers that stay in cache
 _SUB_ENTRIES = 32_768
+# grid-max scores formed at once (1 MB real)
+_SCORE_ENTRIES = 131_072
 _POLISH_START = 0.25   # first compass step on the coefficient sphere
 _POLISH_STOP = 1e-9    # the compass search ends once its step falls below this
 _POLISH_ROUNDS = 200   # majorization steps per start, and compass steps per call
@@ -177,36 +186,120 @@ def grid_density(S: np.ndarray, C: np.ndarray, m: int,
     given ``pn`` (K,), the grid-max normalized density max_c |S c|^(2/m) /
     pn(c) per node, shape (N,).
 
-    Two block sizes, both in buffers allocated once per call: pn is summed
-    over node blocks of about 4e6 values (``_BLOCK_ENTRIES``), which fixes
-    its summation order; within a block, S C^T and its powers are formed
-    about 32k values at a time (``_SUB_ENTRIES``), which keeps these
-    temporaries in cache.
+    pn is summed over node blocks of about 4e6 values (``_BLOCK_ENTRIES``),
+    which fixes its summation order; within a block, S C^T and its powers
+    are formed about 32k values at a time (``_SUB_ENTRIES``) in buffers
+    allocated once per call, which keeps these temporaries in cache.  The
+    grid maximum picks each node's column with a real Gram form and reads
+    its value from S c (see ``_grid_max``).
     """
+    if pn is not None:
+        return _grid_max(S, C, m, pn)
     n, k = len(S), len(C)
     p = 2.0 / m
     block = max(1, _BLOCK_ENTRIES // max(k, 1))
     rows = max(1, _SUB_ENTRIES // max(k, 1))
     z = np.empty((min(rows + 1, n), k), dtype=complex)
-    if pn is None:
-        out = np.zeros(k)
-        vals = np.empty((min(block, n), k))
-    else:
-        out = np.empty(n)
-        vals = np.empty((min(rows + 1, n), k))
+    out = np.zeros(k)
+    vals = np.empty((min(block, n), k))
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         for r0, r1 in _sub_blocks(lo, hi, rows):
-            a = vals[r0 - lo:r1 - lo] if pn is None else vals[:r1 - r0]
+            a = vals[r0 - lo:r1 - lo]
             np.abs(np.matmul(S[r0:r1], C.T, out=z[:r1 - r0]), out=a)
             if p != 1.0:
                 np.power(a, p, out=a)
-            if pn is not None:
-                np.divide(a, pn, out=a)
-                np.max(a, axis=1, out=out[r0:r1])
-        if pn is None:
-            out += weights[lo:hi] @ vals[:hi - lo]
+        out += weights[lo:hi] @ vals[:hi - lo]
     return out
+
+
+def _unit_rows(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row norms of S, floored at the smallest normal float, and S scaled
+    by them: unit rows, with all-zero rows left zero."""
+    norms = np.maximum(np.linalg.norm(S, axis=1), np.finfo(float).tiny)
+    return norms, S / norms[:, None]
+
+
+def _gram_features(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of X: |x_j|^2, and x_j conj(x_k) for j < k."""
+    j, k = np.triu_indices(X.shape[1], 1)
+    return X.real ** 2 + X.imag ** 2, X[:, j] * np.conj(X[:, k])
+
+
+def _grid_max(S: np.ndarray, C: np.ndarray, m: int, pn: np.ndarray,
+              U: np.ndarray | None = None) -> np.ndarray:
+    """max_c |S_i c|^(2/m) / pn(c) per node i; ``U`` holds the unit rows
+    of S when they are at hand.
+
+    The maximizing column also maximizes t_i(c) = |U_i c|^2 s(c), s = (min
+    pn / pn)^m, a real bilinear form in the Gram features of U_i and of c.
+    One real matmul scores every distinct column with t_i(c) + gamma
+    a_i(c), where a_i(c) = M s(c) sum_j |U_ij|^2 |c_j|^2 and gamma = (M^2
+    + 9) eps.  By Cauchy-Schwarz a_i(c) >= s(c) (sum_j |U_ij| |c_j|)^2, so
+    the inner-product bound gamma_n (Higham, Accuracy and Stability, 3.1)
+    puts a score's rounding below gamma a_i(c) / 2: each score bounds
+    t_i(c) from above and, less 2 gamma a_i(c), from below.  A node keeps
+    its top column c* alone unless another column's score reaches the
+    lower bound of c*; each column that does is read as well, so the true
+    maximum is always read.  Values are read from S C^T, so each is
+    attained by a grid combination.  The bound holds while the scores stay
+    above the float underflow threshold.
+    """
+    if len(C) > 1:
+        keep = np.sort(np.unique(C + 0.0, axis=0, return_index=True)[1])  # -0 == +0
+        C, pn = C[keep], pn[keep]
+    if len(C) == 1:
+        return _normalized(np.matmul(S, C.T)[:, 0], m, pn[0])
+    (n, M), k = S.shape, len(C)
+    U = _unit_rows(S)[1] if U is None else U
+    gamma = (M * M + 9) * np.finfo(float).eps
+    s = (pn.min() / pn) ** m
+    diag, cross = _gram_features(U)
+    F = np.concatenate([diag, cross.real, cross.imag], axis=1)
+    cdiag, cross = _gram_features(C)
+    G = np.concatenate([(1.0 + gamma * M) * cdiag, 2.0 * cross.real,
+                        -2.0 * cross.imag], axis=1).T * s
+    # sum_j |U_ij|^2 slack[c, j] = 2 gamma a_i(c)
+    slack = 2.0 * gamma * M * s[:, None] * cdiag
+    out = np.empty(n)
+    rows = max(1, _SCORE_ENTRIES // k)
+    score = np.empty((min(rows + 1, n), k))
+    for r0, r1 in _sub_blocks(0, n, rows):
+        b = np.matmul(F[r0:r1], G, out=score[:r1 - r0])
+        i = np.arange(r1 - r0)
+        top = np.argmax(b, axis=1)
+        low = np.maximum(b[i, top] - np.sum(diag[r0:r1] * slack[top], axis=1), 0.0)
+        b[i, top] = -np.inf
+        near = np.flatnonzero(b.max(axis=1) > low)
+        if near.size:
+            rr, cc = np.nonzero(b[near] > low[near, None])
+            i, top = np.concatenate([i, near[rr]]), np.concatenate([top, cc])
+        vals = _read(S[r0:r1], C, i, top, m, pn)
+        out[r0:r1] = vals[:r1 - r0]
+        np.maximum.at(out[r0:r1], i[r1 - r0:], vals[r1 - r0:])
+    return out
+
+
+def _read(S: np.ndarray, C: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+          m: int, pn: np.ndarray) -> np.ndarray:
+    """|S_r c|^(2/m) / pn(c) for the pairs (rows[j], cols[j]) of rows of S
+    and of C, from one product of S against the distinct columns.  The
+    product is padded with repeated columns to whole groups of four (at
+    most all of C): BLAS zgemm kernels (OpenBLAS's among them) round whole
+    column groups alike, and as in the full S C^T, but trailing or lone
+    columns otherwise.
+    """
+    uniq, at = np.unique(cols, return_inverse=True)
+    uniq = np.resize(uniq, min(-(-len(uniq) // 4) * 4, len(C)))
+    return _normalized(np.matmul(S, C[uniq].T)[rows, at], m, pn[cols])
+
+
+def _normalized(z: np.ndarray, m: int, pn: np.ndarray | float) -> np.ndarray:
+    """|z|^(2/m) / pn."""
+    a = np.abs(z)
+    if m != 2:
+        np.power(a, 2.0 / m, out=a)
+    return np.divide(a, pn, out=a)
 
 
 class SectionSystem:
@@ -273,10 +366,19 @@ class SectionSystem:
             self._grid_pn[seed] = (C, pn_grid)
         return self._grid_pn[seed]
 
+    @functools.cached_property
+    def unit_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row norms of ``S`` and its unit rows, read-only (see ``_unit_rows``)."""
+        norms, U = _unit_rows(self.S)
+        norms.flags.writeable = U.flags.writeable = False
+        return norms, U
+
     def tau_normalized(self, C: np.ndarray, pn_grid: np.ndarray,
                        S: np.ndarray | None = None) -> np.ndarray:
         """Grid-max normalized density max_c |S c|^(2/m) / pn(c) per node."""
-        return grid_density(self.S if S is None else S, C, self.m, pn=pn_grid)
+        if S is not None:
+            return grid_density(S, C, self.m, pn=pn_grid)
+        return _grid_max(self.S, C, self.m, pn_grid, self.unit_rows[1])
 
 
 def pseudonorm(combination, logt: float) -> float:
@@ -300,8 +402,7 @@ def _majorize(system: SectionSystem, v: np.ndarray, starts, scores,
     cancel, on which extremal combinations sit and coordinate steps stall.
     """
     p = 2.0 / system.m
-    norms = np.maximum(np.linalg.norm(system.S, axis=1), np.finfo(float).tiny)
-    U = system.S / norms[:, None]  # unit rows keep the weights finite
+    norms, U = system.unit_rows  # unit rows keep the weights finite
     base = system.weights * norms ** p
     ends = []
     for c, h in zip(starts, scores):
@@ -390,14 +491,18 @@ def pairing_matrix(families, logt: float,
     system = system or SectionSystem(families, logt)
     m = system.m
     tau = system.tau_normalized(*system.grid_pn(optimizer))
-    # Where every section is microscopic the contribution is provably
-    # below tau^(1/m)-type tails; dropping it avoids 0 * inf.
-    mask = tau > _TINY_DENSITY
+    norms, U = system.unit_rows
+    # |S_i|^2 tau_i^(1-m) in logs, on unit rows: tau^(1-m) alone overflows
+    # where every section is small; all-zero rows (tau = 0) add nothing
+    live = tau > 0.0
     g = np.zeros_like(tau)
-    g[mask] = tau[mask] ** (1 - m)
-    wg = system.weights * g
-    A = (system.S.T * wg) @ np.conj(system.S)
+    g[live] = system.weights[live] * np.exp(2.0 * np.log(norms[live])
+                                            + (1 - m) * np.log(tau[live]))
+    A = (U.T * g) @ np.conj(U)
     A = 0.5 * (A + np.conj(A.T))
+    if not np.all(np.isfinite(A)):
+        raise NumericalConvergenceError(
+            "pairing matrix is not finite", diagnostics={"logt": logt, "m": m})
     eigs = np.linalg.eigvalsh(A)
     if eigs[0] <= -1e-12 * max(abs(eigs[-1]), 1e-300):
         raise InternalConsistencyError("pairing matrix lost positive definiteness")

@@ -67,6 +67,58 @@ class TestKernel:
         np.testing.assert_array_max_ulp(grid_density(S, C, m, pn=pn),
                                         one_shot_density(S, C, m, pn=pn), maxulp=4)
 
+    @staticmethod
+    def assert_grid_max_exact(S, C, m, pn):
+        # the Gram-form pick must land on the grid maximum itself
+        ref = np.concatenate([one_shot_density(S[a:a + 1024], C, m, pn=pn)
+                              for a in range(0, len(S), 1024)])
+        np.testing.assert_array_max_ulp(grid_density(S, C, m, pn=pn), ref, maxulp=4)
+
+    # every pair of values of (m, logt, n_families) occurs once
+    @pytest.mark.parametrize("m, logt, n_families", [
+        (8, 1e3, 2), (8, 1e4, 3), (12, 1e3, 3), (12, 1e4, 2)])
+    def test_large_m_systems(self, m, logt, n_families):
+        # pn spans 2-3 decades here, so s = (min pn / pn)^m spans 19-42
+        # decades: the scores' rounding must be bounded per (node, row) pair
+        fams = [LaurentFamily.pole(m), LaurentFamily.from_w_powers(m, {1: 1.0, 0: 0.3}),
+                LaurentFamily.from_w_powers(m, {2: 1.0})][:n_families]
+        system = SectionSystem(fams, logt)
+        C, pn = system.grid_pn()
+        S = system.S[::8]
+        self.assert_grid_max_exact(S, C, m, pn)
+        # the system's cached unit rows give the same maximum
+        tau = system.tau_normalized(C, pn)[::8]
+        np.testing.assert_array_max_ulp(tau, grid_density(S, C, m, pn=pn), maxulp=4)
+
+    @pytest.mark.parametrize("m", [2, 3, 12])
+    @pytest.mark.parametrize("eps", [1e-6, 1e-10])
+    def test_cancelling_and_zero_rows(self, m, eps):
+        # theta_1 = theta_0 + eps noise: the grid column (1, -1)/sqrt(2)
+        # cancels most rows, so its pn is tiny and s = (min pn / pn)^m spans
+        # up to 20 decades; the rounding of its score then outranks the
+        # maximum of most rows, and a pick without the certificate is off by
+        # up to 98%
+        rng = np.random.default_rng(m)
+        C = coefficient_grid(2)
+        a, noise = rng.standard_normal((2, 2000)) + 1j * rng.standard_normal((2, 2000))
+        S = np.stack([a, a + eps * noise], axis=1)
+        cols = rng.integers(0, len(C), 500)
+        S[:500] = C[cols][:, ::-1] * [1.0, -1.0]  # S_i . c = 0 for one grid column
+        S[500:600] = 0.0
+        pn = grid_density(S[600:], C, m, weights=rng.uniform(0.1, 1.0, len(S) - 600))
+        self.assert_grid_max_exact(S, C, m, pn)
+        assert np.all(grid_density(S, C, m, pn=pn)[500:600] == 0.0)
+
+    @pytest.mark.parametrize("n_rows, n_cols", [(1, 3), (40, 1)])
+    def test_one_row_or_one_family(self, n_rows, n_cols):
+        rng = np.random.default_rng(n_rows + n_cols)
+        S, C = (rng.standard_normal((n, n_cols)) + 1j * rng.standard_normal((n, n_cols))
+                for n in (5000, n_rows))
+        C /= np.abs(C) if n_cols == 1 else np.linalg.norm(C, axis=1, keepdims=True)
+        for m in (2, 3, 12):
+            pn = grid_density(S, C, m, weights=rng.uniform(0.1, 1.0, len(S)))
+            self.assert_grid_max_exact(S, C, m, pn)
+
     def test_peak_memory_of_density_calls(self):
         # the kernel streams through cache-sized buffers; materializing
         # |S C^T| per 4e6-entry block peaked above 120 MB here
@@ -190,6 +242,28 @@ class TestPairing:
             vals.append(abs(A[0, 1]) / math.sqrt(A[0, 0].real * A[1, 1].real))
         assert vals[0] > vals[1]
         assert vals[1] < 1e-3
+
+    @pytest.mark.parametrize("m, logt", [(6, 1e4), (12, 1e3)])
+    def test_pole_free_pair_is_finite(self, m, logt):
+        # both sections underflow deep in the annulus, where tau^(1-m) alone
+        # overflows; the matrix once came out NaN there
+        fams = [LaurentFamily.from_w_powers(m, {1: 1.0}),
+                LaurentFamily.from_w_powers(m, {2: 1.0})]
+        A = np.asarray(pairing_matrix(fams, logt))
+        assert np.all(np.isfinite(A))
+        assert np.allclose(A, A.conj().T, rtol=1e-12, atol=0)
+        assert np.linalg.eigvalsh(A).min() > 0
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_matrix_raises(self, monkeypatch):
+        # tau = 1e-300 at m = 12 weighs every node by exp(7.6e3) = inf
+        monkeypatch.setattr(SectionSystem, "tau_normalized",
+                            lambda self, C, pn: np.full(self.n_nodes, 1e-300))
+        fams = [LaurentFamily.from_w_powers(12, {1: 1.0}),
+                LaurentFamily.from_w_powers(12, {2: 1.0})]
+        with pytest.raises(NumericalConvergenceError):
+            pairing_matrix(fams, 100.0)
 
     def test_second_diagonal_stays_bounded(self):
         # || w^-1 (dw)^2 ||' tends to a constant, not to a power of log|t|^-1
