@@ -12,7 +12,7 @@ import sys
 
 from .density import OptimizerSpec
 from .dotio import emit_dot, emit_stable_dot
-from .dsl import emit_model, parse_model
+from .dsl import ModelDocument, emit_model, parse_model
 from .errors import (CurveDegenError, InternalConsistencyError,
                      NumericalConvergenceError, ParseError)
 from .experiments import (norm_asymptotics_experiment, pairing_experiments,
@@ -32,9 +32,13 @@ from .reduction import (StableDualGraph, essential_skeleton, minimal_snc_model,
 __all__ = ["main"]
 
 
-def _load(path: str) -> DualGraphModel:
+def _document(path: str) -> ModelDocument:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read()).model
+        return parse_model(fh.read())
+
+
+def _load(path: str) -> DualGraphModel:
+    return _document(path).model
 
 
 def _load_valid(path: str) -> DualGraphModel:
@@ -50,17 +54,19 @@ def _write(path: str | None, text: str):
 
 
 def _cmd_validate(args) -> int:
-    model = _load(args.file)
-    report = validate(model)
+    doc = _document(args.file)
+    report = validate(doc.model)
     if args.json:
         sys.stdout.write(dumps(report_to_json(report)))
     else:
         if report.ok:
             print("ok")
-        for v in report.errors:
-            print(f"error[{v.code}] {v.subject}: {v.message}")
-        for v in report.warnings:
-            print(f"warning[{v.code}] {v.subject}: {v.message}")
+        for kind, found in (("error", report.errors), ("warning", report.warnings)):
+            for v in found:
+                # point at the declaration of the id the violation names
+                loc = doc.location_of(v.subject)
+                where = f"{args.file}:{loc[0]}:{loc[1]}: " if loc else ""
+                print(f"{where}{kind}[{v.code}] {v.subject}: {v.message}")
     return 0 if report.ok else 1
 
 

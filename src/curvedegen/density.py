@@ -25,8 +25,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .errors import InternalConsistencyError, NumericalConvergenceError
 from .laurent import eval_table, fiber_value, side_tables
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._lazy import np
 from .density import OptimizerSpec, gauss_panels, pairing_matrix, pseudonorm, region_tau_mass
 from .laurent import LaurentFamily
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
+from ._lazy import np
 
 __all__ = ["LaurentFamily", "SideTable", "side_tables", "eval_table", "fiber_value"]
 

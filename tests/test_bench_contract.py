@@ -6,6 +6,9 @@ name change here would first show as a broken benchmark run.
 """
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,6 +32,18 @@ def test_traced_target_resolves(module, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_package_import_loads_every_traced_module():
+    # Recorder.install reads sys.modules for each TRACED module, so a bare
+    # ``import curvedegen`` must load all of them
+    modules = sorted({t[0] for t in _traced()})
+    code = ("import sys, curvedegen; "
+            f"print([m for m in {modules!r} if m not in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(Path(cd.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
 
 
 def test_span_hooks_read_the_section_system():

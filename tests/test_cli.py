@@ -91,6 +91,15 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         assert "mark P: merge group Q on C" in capsys.readouterr().err
 
+    def test_violation_points_at_declaration(self, tmp_path, capsys):
+        path = tmp_path / "range.cdm"
+        path.write_text("model {\n  m = 3;\n  vertex C { genus = 2 };\n"
+                        "  mark P on C coeff 5\n}\n")
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            f"{path}:4:8: error[mark-coefficient-range] P: mark P: "
+            "coefficient 5 outside [1, 2]\n")
+
 
 class TestReduce:
     def test_collapse_narration(self, files, capsys):
