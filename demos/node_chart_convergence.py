@@ -10,8 +10,7 @@ import math
 
 from curvedegen import LaurentFamily
 from curvedegen.density import pairing_matrix, pseudonorm, region_tau_mass
-from curvedegen.experiments import (norm_asymptotics_experiment,
-                                    pairing_offdiag_experiment)
+from curvedegen.experiments import norm_asymptotics_experiment, pairing_experiments
 
 # The section w^-2 (dw)^2 with a first-order correction.  Its pseudonorm
 # grows like (2 pi log|t|^-1)^(m/2); the ratio converges to 1 like 1/L.
@@ -27,9 +26,10 @@ print(res.to_columns())
 # Narasimhan-Simha pairing of the two-section family {w^-2, w^-1}.
 # On this pair the cross term vanishes identically by rotation symmetry,
 # so the perturbed family is the interesting one: its normalized cross
-# term decays like 1/L.
+# term decays like 1/L.  One sweep of pairing matrices fills both the
+# diagonal-growth and the cross-term table; this prints the second.
 perturbed = [family, LaurentFamily.from_w_powers(2, {1: 1.0})]
-off = pairing_offdiag_experiment(perturbed, logt_grid=(1e2, 1e3))
+_, off = pairing_experiments(perturbed, logt_grid=(1e2, 1e3))
 print(off.to_columns())
 
 A = pairing_matrix(perturbed, 1000.0)

@@ -30,11 +30,10 @@ from .dotio import emit_dot, emit_stable_dot
 from .experiments import (
     ExperimentResult,
     norm_asymptotics_experiment,
-    pairing_diag_experiment,
-    pairing_offdiag_experiment,
+    pairing_experiments,
     region_mass_experiment,
 )
-from .genus0 import Genus0MassResult, generic_configuration, moebius_points, ns_mass_genus0
+from .genus0 import generic_configuration, moebius_points, ns_mass_genus0
 from .laurent import LaurentFamily
 from .limits import (
     DimensionSummary,

@@ -32,12 +32,11 @@ class BundleDescriptor:
                 + self.mark_degree)
 
 
-def bundle_for(model: DualGraphModel, cid: str, m: int | None = None) -> BundleDescriptor:
+def bundle_for(model: DualGraphModel, cid: str) -> BundleDescriptor:
     c = model.component(cid)
-    mm = model.params.m if m is None else m
     return BundleDescriptor(
         component=cid,
-        m=mm,
+        m=model.params.m,
         genus=c.genus,
         valency=model.valency(cid),
         mark_degree=model.mark_degree(cid),
@@ -90,8 +89,8 @@ class ComponentClass:
         )
 
 
-def classify_component(model: DualGraphModel, cid: str, m: int | None = None) -> ComponentClass:
-    b = bundle_for(model, cid, m)
+def classify_component(model: DualGraphModel, cid: str) -> ComponentClass:
+    b = bundle_for(model, cid)
     return ComponentClass(
         component=cid,
         essential=not is_inessential(b.genus, b.valency, b.mark_degree),

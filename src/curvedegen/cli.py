@@ -25,7 +25,7 @@ from .limits import (dimension_summary, large_m_limit_fixed_divisor,
                      large_m_limit_fixed_qdivisor, ns_limit_measure,
                      pb_limit_measure, pushforward_to_fiber, pushforward_to_hyb,
                      stable_curve_ns_measure)
-from .model import DualGraphModel, require_valid, validate
+from .model import DualGraphModel, validate
 from .reduction import (StableDualGraph, essential_skeleton, minimal_snc_model,
                         stable_dual_graph)
 
@@ -39,12 +39,6 @@ def _document(path: str) -> ModelDocument:
 
 def _load(path: str) -> DualGraphModel:
     return _document(path).model
-
-
-def _load_valid(path: str) -> DualGraphModel:
-    model = _load(path)
-    require_valid(model)
-    return model
 
 
 def _write(path: str | None, text: str):
@@ -71,7 +65,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    model = _load_valid(args.file)
+    model = _load(args.file)
     reduced, dom = minimal_snc_model(model)
     if args.json:
         sys.stdout.write(dumps(map_to_json(dom)))
@@ -85,7 +79,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_stable_graph(args) -> int:
-    model = _load_valid(args.file)
+    model = _load(args.file)
     graph = stable_dual_graph(model)
     if args.json:
         sys.stdout.write(dumps(graph_to_json(graph)))
@@ -100,7 +94,7 @@ def _cmd_stable_graph(args) -> int:
 
 
 def _cmd_skeleton(args) -> int:
-    model = _load_valid(args.file)
+    model = _load(args.file)
     skel = essential_skeleton(model)
     if args.json:
         sys.stdout.write(dumps(skeleton_to_json(skel)))
@@ -112,7 +106,7 @@ def _cmd_skeleton(args) -> int:
 
 
 def _cmd_dims(args) -> int:
-    model = _load_valid(args.file)
+    model = _load(args.file)
     summary = dimension_summary(model)
     if args.json:
         sys.stdout.write(dumps(summary_to_json(summary)))
@@ -126,7 +120,7 @@ def _cmd_dims(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    model = _load_valid(args.file)
+    model = _load(args.file)
     opt = OptimizerSpec(seed=args.seed)
     if args.kind == "ns":
         measure = ns_limit_measure(model, estimate_genus0=args.estimate_genus0,
@@ -146,7 +140,7 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_limit(args) -> int:
-    model = _load_valid(args.file)
+    model = _load(args.file)
     if args.mode == "fixed-B":
         out = large_m_limit_fixed_divisor(model)
     else:
@@ -156,7 +150,7 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_stable_measure(args) -> int:
-    model = _load_valid(args.file)
+    model = _load(args.file)
     graph = stable_dual_graph(model)
     out = stable_curve_ns_measure(graph)
     sys.stdout.write(dumps(measure_to_json(out)))
@@ -176,7 +170,7 @@ def _pick_chain(graph: StableDualGraph, chain_id: str | None):
 
 
 def _cmd_verify(args) -> int:
-    model = _load_valid(args.file)
+    model = _load(args.file)
     graph = stable_dual_graph(model)
     chain = _pick_chain(graph, args.chain)
     m = model.params.m

@@ -18,8 +18,6 @@ __all__ = [
     "ExperimentResult",
     "norm_asymptotics_experiment",
     "region_mass_experiment",
-    "pairing_diag_experiment",
-    "pairing_offdiag_experiment",
     "pairing_experiments",
 ]
 
@@ -126,65 +124,34 @@ def region_mass_experiment(families, region: tuple[float, float],
     return _result("region-mass", logt_grid, obs, ref, meta)
 
 
-def _pairing_sweep(families, logt_grid, optimizer):
-    """(depth grid, optimizer, pairing matrix at each depth)."""
+def pairing_experiments(families, member: int = 0, pair: tuple[int, int] = (0, 1),
+                        logt_grid=DEFAULT_LOGT_GRID,
+                        optimizer: OptimizerSpec | None = None
+                        ) -> tuple[ExperimentResult, ExperimentResult]:
+    """The diagonal and off-diagonal experiments from one sweep of matrices.
+
+    The diagonal entry of ``member`` goes against its residue-pole limit
+    (2 pi l L)^m; the ratio converges to |residue|^2 = 1 for a residue-one
+    member whose residue term dominates.  The normalized off-diagonal entry
+    |A_jk| / sqrt(A_jj A_kk) of ``pair`` has limit zero, so its observed
+    column doubles as the error column and should decrease along the grid.
+    """
+    families = tuple(families)
     grid = _check_grid(logt_grid)
     opt = optimizer or OptimizerSpec()
-    return grid, opt, [pairing_matrix(families, L, optimizer=opt)
-                       for L in grid]
+    mats = [pairing_matrix(families, L, optimizer=opt) for L in grid]
 
-
-def _diag_result(families, member, grid, opt, mats) -> ExperimentResult:
     fam = families[member]
     obs = [float(np.real(A[member, member])) for A in mats]
     ref = [abs(fam.residue) ** 2 * (2.0 * np.pi * fam.chain_length * L) ** fam.m
            for L in grid]
     meta = {"m": fam.m, "member": member, "n_families": len(families),
             "seed": opt.seed, "truncation": fam.truncation_order}
-    return _result("pairing-diag", grid, obs, ref, meta)
+    diag = _result("pairing-diag", grid, obs, ref, meta)
 
-
-def _offdiag_result(families, pair, grid, opt, mats) -> ExperimentResult:
     j, k = pair
     obs = [abs(A[j, k]) / float(np.sqrt(np.real(A[j, j]) * np.real(A[k, k])))
            for A in mats]
     meta = {"m": families[0].m, "pair": pair, "n_families": len(families),
             "seed": opt.seed}
-    return _result("pairing-offdiag", grid, obs, [0.0] * len(grid), meta)
-
-
-def pairing_diag_experiment(families, member: int = 0,
-                            logt_grid=DEFAULT_LOGT_GRID,
-                            optimizer: OptimizerSpec | None = None) -> ExperimentResult:
-    """A diagonal pairing entry against its residue-pole limit (2 pi l L)^m.
-
-    Meaningful for a member whose residue term dominates; the ratio
-    converges to |residue|^2 = 1 for residue-one members.
-    """
-    families = tuple(families)
-    return _diag_result(families, member,
-                        *_pairing_sweep(families, logt_grid, optimizer))
-
-
-def pairing_offdiag_experiment(families, pair: tuple[int, int] = (0, 1),
-                               logt_grid=DEFAULT_LOGT_GRID,
-                               optimizer: OptimizerSpec | None = None) -> ExperimentResult:
-    """Normalized off-diagonal pairing |A_jk| / sqrt(A_jj A_kk), limit zero.
-
-    The observed column doubles as the error column since the reference
-    vanishes; it should decrease along the grid.
-    """
-    families = tuple(families)
-    return _offdiag_result(families, pair,
-                           *_pairing_sweep(families, logt_grid, optimizer))
-
-
-def pairing_experiments(families, member: int = 0, pair: tuple[int, int] = (0, 1),
-                        logt_grid=DEFAULT_LOGT_GRID,
-                        optimizer: OptimizerSpec | None = None
-                        ) -> tuple[ExperimentResult, ExperimentResult]:
-    """The diagonal and off-diagonal experiments from one sweep of matrices."""
-    families = tuple(families)
-    sweep = _pairing_sweep(families, logt_grid, optimizer)
-    return (_diag_result(families, member, *sweep),
-            _offdiag_result(families, pair, *sweep))
+    return diag, _result("pairing-offdiag", grid, obs, [0.0] * len(grid), meta)

@@ -21,20 +21,11 @@ from dataclasses import dataclass
 from ._lazy import np
 from .density import OptimizerSpec, coefficient_grid, gauss_panels, grid_density
 from .errors import NumericalConvergenceError
+from .measures import Estimate
 
-__all__ = ["Genus0MassResult", "generic_configuration", "moebius_points",
-           "ns_mass_genus0"]
+__all__ = ["generic_configuration", "moebius_points", "ns_mass_genus0"]
 
 _SEAM_MARGIN = 0.05
-
-
-@dataclass(frozen=True)
-class Genus0MassResult:
-    """Mass estimate with a doubled-resolution error bar."""
-
-    value: float
-    error: float
-    meta: dict
 
 
 def generic_configuration(n: int) -> tuple[complex, ...]:
@@ -185,7 +176,7 @@ def _mass_pass(points, coeffs, m: int, d: int, ctl: _Controls,
 
 def ns_mass_genus0(points, coefficients, m: int,
                    quad=None,
-                   optimizer: OptimizerSpec | None = None) -> Genus0MassResult:
+                   optimizer: OptimizerSpec | None = None) -> Estimate:
     """Mass of the extremal measure for weighted points on the sphere.
 
     ``coefficients`` are the pole orders a_i, each in [1, m-1] so the
@@ -222,6 +213,4 @@ def ns_mass_genus0(points, coefficients, m: int,
         raise NumericalConvergenceError(
             "sphere mass integration failed",
             best=fine, diagnostics={"base": base})
-    meta = {"d": d, "m": m, "n_points": len(points), "base_value": base,
-            "seed": opt.seed}
-    return Genus0MassResult(fine, error, meta)
+    return Estimate(fine, error)

@@ -4,7 +4,9 @@ For a fixed tensor power m the family of fiberwise measures converges to an
 explicit limit on the curve complex of the minimal model: Lebesgue mass
 1/(chain length) on every skeleton edge, plus per-component measures whose
 totals are dictated by section counts.  For m growing the rescaled limits
-concentrate on vertex atoms with purely combinatorial weights.
+concentrate on vertex atoms with purely combinatorial weights.  Every
+function reads m from its model; ``model.with_params(m)`` reinterprets a
+model at another power.
 """
 from __future__ import annotations
 
@@ -16,7 +18,6 @@ from .errors import InternalConsistencyError, ModelValidationError
 from .measures import (
     UNKNOWN,
     CCMeasure,
-    Estimate,
     FiberMeasure,
     HybMeasure,
     ns_descriptor,
@@ -52,7 +53,7 @@ class DimensionSummary:
     vertex_h0: dict[str, int]
 
 
-def dimension_summary(model: DualGraphModel, m: int | None = None) -> DimensionSummary:
+def dimension_summary(model: DualGraphModel) -> DimensionSummary:
     """Count sections globally and per component, checking the split.
 
     The model must be minimal (a model with contractible tails raises
@@ -60,8 +61,6 @@ def dimension_summary(model: DualGraphModel, m: int | None = None) -> DimensionS
     number of stable-graph edges plus the per-component section counts; a
     mismatch is a hard internal error, never a tolerance matter.
     """
-    if m is not None:
-        model = model.with_params(m)
     require_valid(model)
     if not is_minimal(model):
         raise ModelValidationError(
@@ -114,8 +113,7 @@ def _edge_masses(model: DualGraphModel, sg: StableDualGraph) -> dict[str, Fracti
     return out
 
 
-def ns_limit_measure(model: DualGraphModel, m: int | None = None,
-                     estimate_genus0: bool = False,
+def ns_limit_measure(model: DualGraphModel, estimate_genus0: bool = False,
                      optimizer=None) -> CCMeasure:
     """Limit of the fiberwise sup-type measures on the curve complex.
 
@@ -125,8 +123,6 @@ def ns_limit_measure(model: DualGraphModel, m: int | None = None,
     without sections carry nothing.  With ``estimate_genus0`` the genus-0
     totals are estimated numerically on a generic point configuration.
     """
-    if m is not None:
-        model = model.with_params(m)
     _require_minimal_snc(model)
     sg = _stable_graph(model)
     comps = {}
@@ -156,19 +152,16 @@ def _genus0_estimate(model, cid, bundle, optimizer):
             return UNKNOWN
         coeffs.append(total)
     points = generic_configuration(len(coeffs))
-    res = ns_mass_genus0(points, coeffs, bundle.m, optimizer=optimizer)
-    return Estimate(res.value, res.error)
+    return ns_mass_genus0(points, coeffs, bundle.m, optimizer=optimizer)
 
 
-def pb_limit_measure(model: DualGraphModel, m: int | None = None) -> CCMeasure:
+def pb_limit_measure(model: DualGraphModel) -> CCMeasure:
     """Limit of the fiberwise kernel-type probability-of-sections measures.
 
     Same edge masses as the sup-type limit; every component additionally
     carries total mass equal to its section count, so the global total is
     exactly (2m-1)(g-1) + deg B.
     """
-    if m is not None:
-        model = model.with_params(m)
     _require_minimal_snc(model)
     summary, sg, bundles = _section_split(model)
     comps = {}
@@ -270,15 +263,13 @@ def large_m_limit_fixed_divisor(model: DualGraphModel) -> HybMeasure:
     return HybMeasure(model, "ns-large-m", atoms, {}, on_essential_skeleton=True)
 
 
-def large_m_limit_fixed_qdivisor(model: DualGraphModel, m: int | None = None) -> HybMeasure:
+def large_m_limit_fixed_qdivisor(model: DualGraphModel) -> HybMeasure:
     """Rescaled large-power limit with the fractional mark weights held
     fixed: vertex atoms 2g(v) - 2 + val(v) + deg(marks on v)/m, total
     2g - 2 + (deg B)/m.
 
-    Input is a minimal model for the given m; the total must be positive.
+    Input is a minimal model for its m; the total must be positive.
     """
-    if m is not None:
-        model = model.with_params(m)
     _require_minimal_snc(model)
     mm = model.params.m
     g = arithmetic_genus(model)
@@ -309,16 +300,15 @@ def large_m_limit_fixed_qdivisor(model: DualGraphModel, m: int | None = None) ->
 # -- measures on stable curves -------------------------------------------------
 
 
-def stable_curve_ns_measure(graph: StableDualGraph, m: int | None = None) -> FiberMeasure:
+def stable_curve_ns_measure(graph: StableDualGraph) -> FiberMeasure:
     """Sup-type measure of a plain stable curve: a unit atom at every node
     plus the per-component sup-type measure for the node-twisted bundle.
 
     The graph may have closed edges (self-nodes).  Requires a stable,
     unmarked curve of genus >= 2: rational vertices need three nodes.
     """
-    mm = m if m is not None else graph.m
-    if mm < 2:
-        raise ModelValidationError(f"m must be at least 2, got {mm}")
+    if graph.m < 2:
+        raise ModelValidationError(f"m must be at least 2, got {graph.m}")
     if any(d != 0 for d in graph.mark_degree.values()):
         raise ModelValidationError("stable curve measure is defined without marks")
     if graph.vertices and not is_connected(
@@ -336,7 +326,7 @@ def stable_curve_ns_measure(graph: StableDualGraph, m: int | None = None) -> Fib
             )
     comps = {}
     for v in graph.vertices:
-        b = BundleDescriptor(v, mm, graph.genus[v], graph.valency(v), 0)
+        b = BundleDescriptor(v, graph.m, graph.genus[v], graph.valency(v), 0)
         comps[v] = ns_descriptor(b) if h0(b) > 0 else zero_descriptor()
     node_atoms = {ch.id: Fraction(1) for ch in graph.chains}
     return FiberMeasure(graph, "ns", comps, node_atoms)

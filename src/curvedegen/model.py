@@ -137,7 +137,6 @@ class DualGraphModel:
                     raise ValueError(f"edge {e.id}: unknown component {v}")
                 incident[v].append(e)
             edge_by_id[e.id] = e
-        marks_on: dict[str, list[MarkedPoint]] = {cid: [] for cid in by_id}
         degree = dict.fromkeys(by_id, 0)
         locations: dict[tuple[str, str], list[MarkedPoint]] = {}
         groups_on: dict[str, list[list[MarkedPoint]]] = {cid: [] for cid in by_id}
@@ -148,7 +147,6 @@ class DualGraphModel:
             if p.host not in by_id:
                 raise ValueError(f"mark {p.id}: unknown host {p.host}")
             mark_by_id[p.id] = p
-            marks_on[p.host].append(p)
             degree[p.host] += p.coefficient
             key = (p.host, p.merge_group if p.merge_group else p.id)
             if key not in locations:
@@ -166,8 +164,6 @@ class DualGraphModel:
         object.__setattr__(self, "_marks", mark_by_id)
         object.__setattr__(self, "_incident",
                            {cid: tuple(es) for cid, es in incident.items()})
-        object.__setattr__(self, "_marks_on",
-                           {cid: tuple(ps) for cid, ps in marks_on.items()})
         object.__setattr__(self, "_mark_degree", degree)
         object.__setattr__(self, "_locations", locations)
         object.__setattr__(self, "_groups_on", groups_on)
@@ -192,9 +188,6 @@ class DualGraphModel:
     def valency(self, cid: str) -> int:
         """Number of nodes on the component, counting multi-edges."""
         return len(self._incident[cid])
-
-    def marks_on(self, cid: str) -> tuple[MarkedPoint, ...]:
-        return self._marks_on[cid]
 
     def mark_degree(self, cid: str) -> int:
         """Total mark coefficient carried by the component."""
@@ -228,7 +221,7 @@ class DualGraphModel:
         return {key: list(group) for key, group in self._locations.items()}
 
 
-def make_model(m, vertices, edges=(), marks=(), provenance=()) -> DualGraphModel:
+def make_model(m, vertices, edges=(), marks=()) -> DualGraphModel:
     """Compact constructor used throughout tests and demos.
 
     vertices: (id, genus) or (id, genus, multiplicity)
@@ -259,8 +252,7 @@ def make_model(m, vertices, edges=(), marks=(), provenance=()) -> DualGraphModel
             ms.append(MarkedPoint(p[0], p[1], p[2]))
         else:
             ms.append(MarkedPoint(p[0], p[1], p[2], p[3]))
-    return DualGraphModel(ModelParams(m), tuple(comps), tuple(es), tuple(ms),
-                          tuple(provenance))
+    return DualGraphModel(ModelParams(m), tuple(comps), tuple(es), tuple(ms))
 
 
 # -- basic invariants ------------------------------------------------------

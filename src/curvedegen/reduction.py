@@ -146,14 +146,7 @@ def _all_ids(model: DualGraphModel) -> set[str]:
 # -- contraction to the minimal model ---------------------------------------
 
 
-def _contractible(model: DualGraphModel, m: int, cid: str) -> bool:
-    c = model.component(cid)
-    return (c.genus == 0
-            and model.valency(cid) == 1
-            and model.mark_degree(cid) < m)
-
-
-def minimal_snc_model(model: DualGraphModel, m: int | None = None) -> tuple[DualGraphModel, DominationMap]:
+def minimal_snc_model(model: DualGraphModel) -> tuple[DualGraphModel, DominationMap]:
     """Contract unmarked-enough rational tails until none remain.
 
     Repeatedly removes a genus-0, valency-1 component whose mark degree is
@@ -164,8 +157,6 @@ def minimal_snc_model(model: DualGraphModel, m: int | None = None) -> tuple[Dual
     so the host is the one component re-checked after each step, and the
     reduced model is built once at the end.
     """
-    if m is not None:
-        model = model.with_params(m)
     require_valid(model)
     if not model.is_semistable():
         raise ModelValidationError(
@@ -244,9 +235,11 @@ def minimal_snc_model(model: DualGraphModel, m: int | None = None) -> tuple[Dual
     return reduced, DominationMap(model, reduced, tuple(steps))
 
 
-def is_minimal(model: DualGraphModel, m: int | None = None) -> bool:
-    mm = model.params.m if m is None else m
-    return not any(_contractible(model, mm, c.id) for c in model.components)
+def is_minimal(model: DualGraphModel) -> bool:
+    """True when no rational tail of mark degree below m is left to contract."""
+    return not any(c.genus == 0 and model.valency(c.id) == 1
+                   and model.mark_degree(c.id) < model.params.m
+                   for c in model.components)
 
 
 # -- stable dual graph -------------------------------------------------------
@@ -299,10 +292,8 @@ def stable_graph(m, vertices, edges) -> StableDualGraph:
     return StableDualGraph(m, vids, genus, {v: 0 for v in vids}, chains)
 
 
-def stable_dual_graph(model: DualGraphModel, m: int | None = None) -> StableDualGraph:
+def stable_dual_graph(model: DualGraphModel) -> StableDualGraph:
     """Forget inessential components, merging their chains into edges."""
-    if m is not None:
-        model = model.with_params(m)
     require_valid(model)
     return _stable_graph(model)
 
@@ -378,9 +369,9 @@ class Skeleton:
         return sum(self.edge_lengths().values(), Fraction(0))
 
 
-def essential_skeleton(model: DualGraphModel, m: int | None = None) -> Skeleton:
+def essential_skeleton(model: DualGraphModel) -> Skeleton:
     """Reduce to the minimal model; its dual graph is the essential skeleton."""
-    reduced, _ = minimal_snc_model(model, m)
+    reduced, _ = minimal_snc_model(model)
     return Skeleton(reduced)
 
 

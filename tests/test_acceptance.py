@@ -16,11 +16,7 @@ from curvedegen import (
 )
 from curvedegen.bundles import BundleDescriptor, h0
 from curvedegen.dsl import emit_model, parse_model
-from curvedegen.experiments import (
-    norm_asymptotics_experiment,
-    pairing_diag_experiment,
-    pairing_offdiag_experiment,
-)
+from curvedegen.experiments import norm_asymptotics_experiment, pairing_experiments
 from curvedegen.genus0 import generic_configuration, moebius_points, ns_mass_genus0
 from curvedegen.density import region_tau_mass
 from curvedegen.cli import main as cli_main
@@ -202,10 +198,9 @@ def test_criterion_08_pairing_asymptotics():
     with gate(8, "pairing diagonal growth and cross-term decay"):
         fams = [LaurentFamily.from_w_powers(2, {0: 1.0, 1: 0.3}),
                 LaurentFamily.from_w_powers(2, {1: 1.0})]
-        diag = pairing_diag_experiment(fams, logt_grid=(1e2, 1e3, 1e4))
+        diag, off = pairing_experiments(fams, logt_grid=(1e2, 1e3, 1e4))
         assert diag.rel_errors[1] < 0.1
         assert diag.rel_errors[0] > diag.rel_errors[1] > diag.rel_errors[2]
-        off = pairing_offdiag_experiment(fams, logt_grid=(1e2, 1e3, 1e4))
         assert off.observed[0] > off.observed[1] > off.observed[2]
 
 

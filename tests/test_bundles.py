@@ -48,7 +48,7 @@ def test_h0_genus2_riemann_roch():
 
 def test_h0_with_overridden_m():
     model = make_model(2, [("C", 2)])
-    assert h0(bundle_for(model, "C", m=5)) == 5 * 2 - 2 + 1
+    assert h0(bundle_for(model.with_params(5), "C")) == 5 * 2 - 2 + 1
 
 
 def test_classification_inessential_type_two():

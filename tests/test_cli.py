@@ -49,12 +49,24 @@ model {
 }
 """
 
+RATIONAL_FOUR_MARKS = """\
+model {
+  m = 2;
+  vertex R { genus = 0 };
+  mark P0 on R coeff 1;
+  mark P1 on R coeff 1;
+  mark P2 on R coeff 1;
+  mark P3 on R coeff 1
+}
+"""
+
 
 @pytest.fixture
 def files(tmp_path):
     paths = {}
     for name, text in [("dumbbell", DUMBBELL), ("chain", FIGURE_CHAIN),
-                       ("excluded", EXCLUDED), ("looped", LOOPED)]:
+                       ("excluded", EXCLUDED), ("looped", LOOPED),
+                       ("rational4", RATIONAL_FOUR_MARKS)]:
         p = tmp_path / f"{name}.cdm"
         p.write_text(text)
         paths[name] = str(p)
@@ -218,6 +230,42 @@ class TestMeasures:
         doc = json.loads(capsys.readouterr().out)
         assert doc["node_atoms"]["ch0"] == {"num": 1, "den": 1}
         assert doc["total"] == "unknown"
+
+    def test_genus0_estimate(self, files, capsys):
+        # four weight-one marks at m = 2 leave one section, so the mass is 1
+        assert main(["measure", files["rational4"], "--kind", "ns",
+                     "--estimate-genus0", "--json"]) == 0
+        total = json.loads(capsys.readouterr().out)["components"]["R"]["total"]
+        assert sorted(total) == ["error", "estimate"]
+        assert abs(total["estimate"] - 1.0) <= 1e-3
+
+
+class TestValidatesOnce:
+    @pytest.mark.parametrize("argv", [
+        ["reduce"], ["stable-graph"], ["skeleton"], ["dims"],
+        ["measure", "--kind", "ns"], ["measure", "--kind", "pb"],
+        ["limit", "--mode", "fixed-B"], ["limit", "--mode", "fixed-QB"],
+        ["stable-measure"],
+    ])
+    def test_one_validation_per_command(self, files, monkeypatch, capsys, argv):
+        import curvedegen.model as model_mod
+
+        calls = []
+        check = model_mod.validate
+
+        def counted(model):
+            calls.append(model)
+            return check(model)
+
+        monkeypatch.setattr(model_mod, "validate", counted)
+        assert main([argv[0], files["dumbbell"], *argv[1:]]) == 0
+        assert len(calls) == 1
+
+    def test_invalid_model_reported_once(self, files, capsys):
+        assert main(["dims", files["excluded"]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("excluded-family") == 1
 
 
 class TestVerify:

@@ -9,14 +9,19 @@ from curvedegen import LaurentFamily
 from curvedegen.experiments import (
     ExperimentResult,
     norm_asymptotics_experiment,
-    pairing_diag_experiment,
-    pairing_offdiag_experiment,
+    pairing_experiments,
     region_mass_experiment,
 )
 
 PERTURBED = LaurentFamily.from_w_powers(2, {0: 1.0, 1: 0.3})
 PAIR = [PERTURBED, LaurentFamily.from_w_powers(2, {1: 1.0})]
 SHORT_GRID = (100.0, 1000.0)
+
+
+@pytest.fixture(scope="module")
+def pairing_sweep():
+    """(diagonal, off-diagonal) results of one pairing sweep over SHORT_GRID."""
+    return pairing_experiments(PAIR, logt_grid=SHORT_GRID)
 
 
 class TestNormExperiment:
@@ -49,18 +54,18 @@ class TestNormExperiment:
 
 
 class TestPairingExperiments:
-    def test_diagonal_ratio_improves(self):
-        res = pairing_diag_experiment(PAIR, logt_grid=SHORT_GRID)
+    def test_diagonal_ratio_improves(self, pairing_sweep):
+        res = pairing_sweep[0]
         assert res.rel_errors[0] > res.rel_errors[1]
         assert res.observed[1] == pytest.approx(res.reference[1], rel=0.1)
 
-    def test_offdiagonal_decreases(self):
-        res = pairing_offdiag_experiment(PAIR, logt_grid=SHORT_GRID)
+    def test_offdiagonal_decreases(self, pairing_sweep):
+        res = pairing_sweep[1]
         assert res.observed[0] > res.observed[1] > 0
         assert res.fitted_exponent == pytest.approx(-1.0, abs=0.1)
 
-    def test_offdiag_reference_is_zero(self):
-        res = pairing_offdiag_experiment(PAIR, logt_grid=SHORT_GRID)
+    def test_offdiag_reference_is_zero(self, pairing_sweep):
+        res = pairing_sweep[1]
         assert res.reference == (0.0, 0.0)
         assert res.rel_errors == res.observed
 
@@ -106,8 +111,8 @@ class TestResultTable:
         assert len(data) == 2
         assert len(data[0].split()) == 4
 
-    def test_offdiag_seed_recorded(self):
-        res = pairing_offdiag_experiment(PAIR, logt_grid=SHORT_GRID)
+    def test_offdiag_seed_recorded(self, pairing_sweep):
+        res = pairing_sweep[1]
         assert "seed" in res.metadata
         assert "# seed:" in res.to_columns()
 
@@ -120,7 +125,7 @@ class TestGridValidation:
 
     def test_single_point_grid_rejected(self):
         with pytest.raises(ValueError):
-            pairing_offdiag_experiment(PAIR, logt_grid=(100.0,))
+            pairing_experiments(PAIR, logt_grid=(100.0,))
 
     def test_nonpositive_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -236,8 +236,8 @@ class TestLargeM:
                 continue
             nu = large_m_limit_fixed_divisor(model)
             for c in model.components:
-                lo = h0(bundle_for(model, c.id, m=10))
-                hi = h0(bundle_for(model, c.id, m=1000))
+                lo = h0(bundle_for(model.with_params(10), c.id))
+                hi = h0(bundle_for(model.with_params(1000), c.id))
                 assert Fraction(hi - lo, 990) == nu.vertex_atoms[c.id]
             checked += 1
         assert checked >= 20
