@@ -5,7 +5,11 @@ Everything is evaluated on frozen composite Gauss-Legendre grids in the
 log-radial coordinate s = log(1/|w|) tensor a uniform angular grid.  The
 grids resolve the s = O(1) feature zone at machine precision and cover the
 flat middle of the annulus with a single tail panel, so runtimes are flat
-in log(1/|t|) and nothing overflows at log(1/|t|) = 1e4.
+in log(1/|t|) and nothing overflows at log(1/|t|) = 1e4.  A grid holds one
+row of section values per node, except that a ring of angular nodes whose
+rows are bitwise equal (deep in the annulus a full-order pole is the
+constant 1 and a pole-free section underflows to 0.0) is one row carrying
+the ring's summed weight; this is exact up to summation order.
 
 Density conventions: values are densities against the Euclidean area
 measure of the chart coordinate.  The m-th root trick applies throughout:
@@ -80,10 +84,18 @@ class OptimizerSpec:
     seed: int = 2024
 
 
+@functools.cache
+def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Legendre rule on [-1, 1], read-only and computed once per order."""
+    xs, ws = np.polynomial.legendre.leggauss(order)
+    xs.flags.writeable = ws.flags.writeable = False
+    return xs, ws
+
+
 def gauss_panels(edges, order: int = _GL_ORDER) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule: ``order`` nodes on each panel between
     consecutive ``edges``, as (nodes, weights) in panel order."""
-    xs, ws = np.polynomial.legendre.leggauss(order)
+    xs, ws = _legendre(order)
     edges = np.asarray(edges, dtype=float)[:, None]
     a, b = edges[:-1], edges[1:]
     return (0.5 * (b - a) * xs + 0.5 * (a + b)).ravel(), (0.5 * (b - a) * ws).ravel()
@@ -119,6 +131,28 @@ def _chart_grid(tables, n_charts: int, logt: float, panel_length: float,
                             for side in (0, 1)])
     weights = np.repeat(s_weights, n_angular) * (2.0 * np.pi / n_angular)
     return np.tile(sides, (n_charts, 1)), np.tile(weights, 2 * n_charts)
+
+
+def _collapse_rings(S: np.ndarray, weights: np.ndarray,
+                    n_angular: int) -> tuple[np.ndarray, np.ndarray]:
+    """Merge each ring (``n_angular`` consecutive rows, one s-node of one
+    side) whose rows are all bitwise equal to its first row into that row,
+    carrying the ring's summed weight; other rings stay as they are.
+
+    Every grid quantity depends on a node only through its row and its
+    weight, so a merged ring contributes f(S_first) * sum(w), which is
+    the ring's sum up to summation order.  Returns S and weights
+    themselves when no ring merges.
+    """
+    bits = S.view(np.uint64).reshape(-1, n_angular, 2 * S.shape[1])
+    flat = np.all(bits == bits[:, :1], axis=(1, 2))
+    if not flat.any():
+        return S, weights
+    keep = np.ones((len(flat), n_angular), dtype=bool)
+    keep[flat, 1:] = False
+    rings = weights.reshape(-1, n_angular).copy()
+    rings[flat, 0] = rings[flat].sum(axis=1)
+    return S[keep.ravel()], rings[keep]
 
 
 def _envelope(S: np.ndarray, weights: np.ndarray, m: int) -> float:
@@ -183,7 +217,7 @@ def grid_density(S: np.ndarray, C: np.ndarray, m: int,
     ``S`` (N, M) holds section values at N nodes.  Given ``weights`` (N,),
     returns the grid pseudonorms pn(c) = weights @ |S c|^(2/m), shape (K,);
     given ``pn`` (K,), the grid-max normalized density max_c |S c|^(2/m) /
-    pn(c) per node, shape (N,).
+    pn(c) per node, shape (N,).  Each distinct row of C is scored once.
 
     pn is summed over node blocks of about 4e6 values (``_BLOCK_ENTRIES``),
     which fixes its summation order; within a block, S C^T and its powers
@@ -194,6 +228,10 @@ def grid_density(S: np.ndarray, C: np.ndarray, m: int,
     """
     if pn is not None:
         return _grid_max(S, C, m, pn)
+    if len(C) > 1:
+        keep, at = _distinct_rows(C)
+        if len(keep) < len(C):
+            return grid_density(S, C[keep], m, weights=weights)[at]
     n, k = len(S), len(C)
     p = 2.0 / m
     block = max(1, _BLOCK_ENTRIES // max(k, 1))
@@ -210,6 +248,17 @@ def grid_density(S: np.ndarray, C: np.ndarray, m: int,
                 np.power(a, p, out=a)
         out += weights[lo:hi] @ vals[:hi - lo]
     return out
+
+
+def _distinct_rows(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the first row of C of each distinct value, in order, and
+    for every row of C the position of its value among them (-0 == +0)."""
+    _, first, inverse = np.unique(C + 0.0, axis=0, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    at = np.empty_like(order)
+    at[order] = np.arange(len(order))
+    return first[order], at[inverse.reshape(-1)]
 
 
 def _unit_rows(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -245,7 +294,7 @@ def _grid_max(S: np.ndarray, C: np.ndarray, m: int, pn: np.ndarray,
     above the float underflow threshold.
     """
     if len(C) > 1:
-        keep = np.sort(np.unique(C + 0.0, axis=0, return_index=True)[1])  # -0 == +0
+        keep = _distinct_rows(C)[0]
         C, pn = C[keep], pn[keep]
     if len(C) == 1:
         return _normalized(np.matmul(S, C.T)[:, 0], m, pn[0])
@@ -305,9 +354,11 @@ class SectionSystem:
     """Frozen quadrature of a family system over all its half-annulus sides.
 
     Every family is replicated on max(chain_length) charts.  ``S`` holds
-    the scaled section values at all nodes, columns indexed like
-    ``families``, ``weights`` the matching area weights, and ``tables``
-    the families' side tables.  The build fails unless the envelope
+    the scaled section values, one row per node and columns indexed like
+    ``families``, and ``weights`` the matching area weights; a ring of
+    bitwise-equal rows (one s-node of one side of one chart) is one row
+    carrying the ring's summed weight.  ``tables`` holds the families'
+    side tables.  The build fails unless the envelope
     integral agrees, within 1e-6 relative, with its value on a grid of
     half the panel length and twice the angular nodes; ``grid_error`` is
     that difference.
@@ -328,8 +379,9 @@ class SectionSystem:
 
         self.tables = tables = [side_tables(f) for f in families]
         n_charts = max(f.chain_length for f in families)
-        self.S, self.weights = _chart_grid(tables, n_charts, self.logt,
-                                           _PANEL_LENGTH, _N_ANGULAR)
+        self.S, self.weights = _collapse_rings(
+            *_chart_grid(tables, n_charts, self.logt, _PANEL_LENGTH, _N_ANGULAR),
+            _N_ANGULAR)
         self._grid_pn: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         base = _envelope(self.S, self.weights, m)
         fine = _envelope(*_chart_grid(tables, n_charts, self.logt,
@@ -556,10 +608,10 @@ def region_tau_mass(families, logt: float, region: tuple[float, float],
         # one panel at a time bounds memory
         for u, wu in zip(u_all.reshape(n_sub, -1), w_all.reshape(n_sub, -1)):
             s = u * logt if side == 0 else (1.0 - u) * logt
-            S = _side_values(system.tables, side, logt, s, phi)
-            tau = system.tau_normalized(C, pn_grid, S=S).reshape(len(u), na)
-            fw = np.ones_like(u) if f is None else np.asarray(f(u), dtype=float)
-            total += float((tau.sum(axis=1) * (2.0 * np.pi / na) * fw) @ wu) * logt
+            fw = wu if f is None else wu * np.asarray(f(u), dtype=float)
+            S, weights = _collapse_rings(_side_values(system.tables, side, logt, s, phi),
+                                         np.repeat(fw, na) * (2.0 * np.pi / na), na)
+            total += float(system.tau_normalized(C, pn_grid, S=S) @ weights) * logt
         return total
 
     def total_at(n_sub: int, na: int) -> float:

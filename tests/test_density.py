@@ -159,6 +159,124 @@ class TestKernel:
         assert value == pytest.approx(0.5035471076097511, rel=1e-12)
 
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_duplicate_rows_scored_once(self, m):
+        # the 32 eta = 0 rows of the two-member grid are one vector; a
+        # duplicate row gets its first occurrence's pn bit for bit
+        rng = np.random.default_rng(m)
+        S = rng.standard_normal((3000, 2)) + 1j * rng.standard_normal((3000, 2))
+        weights = rng.uniform(0.1, 1.0, len(S))
+        C = coefficient_grid(2)
+        signed = np.array([[1.0, complex(-0.0, -0.0)]])  # row 0 with -0 for +0
+        C = np.concatenate([C, C[[40]], signed])
+        pn = grid_density(S, C, m, weights=weights)
+        assert np.all(pn[:32] == pn[0])
+        assert pn[-2] == pn[40] and pn[-1] == pn[0]
+        np.testing.assert_allclose(pn, one_shot_density(S, C, m, weights=weights),
+                                   rtol=1e-13, atol=0)
+
+    def test_legendre_rule_cached_read_only(self):
+        xs, ws = density._legendre(32)
+        assert density._legendre(32)[0] is xs
+        assert not xs.flags.writeable and not ws.flags.writeable
+        nodes, weights = density.gauss_panels([0.0, 1.0, 3.0])
+        assert nodes.flags.writeable and weights.sum() == pytest.approx(3.0, rel=1e-15)
+
+
+PERTURBED_PAIR = [perturbed_pole(), LaurentFamily.from_w_powers(2, {1: 1.0})]
+
+
+def full_grid(system):
+    """The system's grid with every ring kept: one row per node."""
+    n_charts = max(f.chain_length for f in system.families)
+    return density._chart_grid(system.tables, n_charts, system.logt,
+                               density._PANEL_LENGTH, density._N_ANGULAR)
+
+
+class TestRingCollapse:
+    NA = density._N_ANGULAR
+
+    @pytest.mark.parametrize("logt", [1e2, 1e3, 1e4])
+    @pytest.mark.parametrize("families", [BENCH_PAIR, PERTURBED_PAIR],
+                             ids=["bench", "perturbed"])
+    def test_collapsed_grid_matches_full_grid(self, families, logt):
+        # deep in the annulus a pole is the constant 1 and a pole-free
+        # section underflows to 0.0, so whole rings repeat one row
+        system = SectionSystem(families, logt)
+        if logt == 1e2:
+            assert system.n_nodes == 40_960  # no ring is flat
+        else:
+            assert system.n_nodes <= 24_000
+        S, weights = full_grid(system)
+        C, pn = system.grid_pn()
+        ref = sum(weights[a:a + 2048] @ np.abs(S[a:a + 2048] @ C.T)
+                  for a in range(0, len(S), 2048))
+        np.testing.assert_allclose(pn, ref, rtol=1e-13, atol=0)
+        # the pairing matrix from per-node grid maxima on the full grid
+        tau = np.concatenate([one_shot_density(S[a:a + 2048], C, 2, pn=pn)
+                              for a in range(0, len(S), 2048)])
+        A = (S.T * (weights / tau)) @ np.conj(S)
+        A = 0.5 * (A + np.conj(A.T))
+        scale = math.sqrt(A[0, 0].real * A[1, 1].real)
+        np.testing.assert_allclose(pairing_matrix(families, logt, system=system), A,
+                                   rtol=1e-12, atol=1e-12 * scale)
+
+    def test_last_bit_difference_keeps_ring(self):
+        S = np.full((3 * self.NA, 2), 0.5 + 0.25j)
+        S[self.NA + 5, 1] = complex(np.nextafter(0.5, 1.0), 0.25)
+        weights = np.arange(1.0, len(S) + 1.0)
+        S2, w2 = density._collapse_rings(S, weights, self.NA)
+        assert len(S2) == self.NA + 2
+        np.testing.assert_array_equal(S2[1:self.NA + 1], S[self.NA:2 * self.NA])
+        np.testing.assert_array_equal(w2[1:self.NA + 1], weights[self.NA:2 * self.NA])
+        assert w2[0] == weights[:self.NA].sum()
+        assert w2[-1] == weights[2 * self.NA:].sum()
+
+    def test_zero_ring_merges(self):
+        rng = np.random.default_rng(0)
+        S = rng.standard_normal((2 * self.NA, 3)) + 1j * rng.standard_normal((2 * self.NA, 3))
+        S[self.NA:] = 0.0
+        weights = rng.uniform(0.1, 1.0, len(S))
+        S2, w2 = density._collapse_rings(S, weights, self.NA)
+        np.testing.assert_array_equal(S2, S[:self.NA + 1])
+        np.testing.assert_array_equal(w2[:self.NA], weights[:self.NA])
+        assert w2[-1] == pytest.approx(weights[self.NA:].sum(), rel=1e-15)
+
+    def test_no_flat_ring_copies_nothing(self):
+        rng = np.random.default_rng(1)
+        S = rng.standard_normal((2 * self.NA, 2)) + 1j * rng.standard_normal((2 * self.NA, 2))
+        weights = np.ones(len(S))
+        S2, w2 = density._collapse_rings(S, weights, self.NA)
+        assert S2 is S and w2 is weights
+
+    def test_each_chart_collapses(self):
+        chain = [LaurentFamily.pole(2, chain_length=2),
+                 LaurentFamily.from_w_powers(2, {1: 1.0}, chain_length=2)]
+        one, two = SectionSystem(BENCH_PAIR, 1e3), SectionSystem(chain, 1e3)
+        assert len(full_grid(two)[0]) == 2 * 45_056
+        assert two.n_nodes == 2 * one.n_nodes <= 2 * 24_000
+        np.testing.assert_array_equal(two.S, np.tile(one.S, (2, 1)))
+        np.testing.assert_array_equal(two.weights, np.tile(one.weights, 2))
+
+    def test_region_mass_pieces_collapse(self, monkeypatch):
+        # at L = 1e4 every ring of the region's panels is flat; keeping
+        # every ring gives the same mass up to summation order
+        collapse = density._collapse_rings
+        panels = []
+
+        def recorded(S, weights, n_angular):
+            out = collapse(S, weights, n_angular)
+            if len(S) == density._GL_ORDER * n_angular:
+                panels.append(len(out[0]))
+            return out
+
+        monkeypatch.setattr(density, "_collapse_rings", recorded)
+        val = region_tau_mass(BENCH_PAIR, 1e4, (0.2, 0.4))
+        assert panels and all(n == density._GL_ORDER for n in panels)
+        monkeypatch.setattr(density, "_collapse_rings", lambda S, w, na: (S, w))
+        assert region_tau_mass(BENCH_PAIR, 1e4, (0.2, 0.4)) == pytest.approx(val, rel=1e-12)
+
+
 class TestPseudonorm:
     def test_pure_pole_matches_log_growth(self):
         # || w^-m (dw)^m ||' = (2 pi log|t|^-1)^(m/2)
