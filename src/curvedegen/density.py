@@ -7,9 +7,14 @@ grids resolve the s = O(1) feature zone at machine precision and cover the
 flat middle of the annulus with a single tail panel, so runtimes are flat
 in log(1/|t|) and nothing overflows at log(1/|t|) = 1e4.  A grid holds one
 row of section values per node, except that a ring of angular nodes whose
-rows are bitwise equal (deep in the annulus a full-order pole is the
-constant 1 and a pole-free section underflows to 0.0) is one row carrying
-the ring's summed weight; this is exact up to summation order.
+rows deviate from its first row, in sum, by at most machine epsilon times
+its largest row (deep in the annulus each section is its dominant Laurent
+term plus terms smaller by e^-s) is that first row carrying the ring's
+summed weight; see ``_collapse_rings`` for the bound on pn.  An l-chain is
+one chart whose weights carry the factor l.
+
+Numeric contract: pinned values hold to 1e-12 relative, and the summation
+order of every grid sum is free.
 
 Density conventions: values are densities against the Euclidean area
 measure of the chart coordinate.  The m-th root trick applies throughout:
@@ -54,9 +59,6 @@ _GL_ORDER = 32
 _PANEL_LENGTH = 5.0
 _PANEL_CUT = 50.0
 _N_ANGULAR = 64
-# pn sums weights @ |S C^T|^(2/m) over node blocks of this many entries;
-# the block fixes pn's summation order, so changing it changes pn's rounding
-_BLOCK_ENTRIES = 4_000_000
 # entries of S C^T computed at once (512 KB complex): bounds the kernel's
 # temporaries to buffers that stay in cache
 _SUB_ENTRIES = 32_768
@@ -124,28 +126,45 @@ def _side_values(tables, side: int, logt: float, s: np.ndarray,
 def _chart_grid(tables, n_charts: int, logt: float, panel_length: float,
                 n_angular: int) -> tuple[np.ndarray, np.ndarray]:
     """Section values S (N, M) and area weights (N,) at the nodes of both
-    sides of ``n_charts`` charts, each carrying every family."""
+    sides of one chart carrying every family.  The ``n_charts`` charts of a
+    chain hold the same values, so the weights carry the factor n_charts."""
     s_nodes, s_weights = _gauss_nodes(logt, panel_length)
     phi = np.arange(n_angular) * (2.0 * np.pi / n_angular)
     sides = np.concatenate([_side_values(tables, side, logt, s_nodes, phi)
                             for side in (0, 1)])
-    weights = np.repeat(s_weights, n_angular) * (2.0 * np.pi / n_angular)
-    return np.tile(sides, (n_charts, 1)), np.tile(weights, 2 * n_charts)
+    weights = np.repeat(s_weights, n_angular) * (2.0 * np.pi * n_charts / n_angular)
+    return sides, np.tile(weights, 2)
 
 
 def _collapse_rings(S: np.ndarray, weights: np.ndarray,
                     n_angular: int) -> tuple[np.ndarray, np.ndarray]:
-    """Merge each ring (``n_angular`` consecutive rows, one s-node of one
-    side) whose rows are all bitwise equal to its first row into that row,
+    """Merge each ring (``n_angular`` consecutive rows S_a of equal weight
+    w, one s-node of one side) with sum_a |S_a - S_0| <= eps max_a |S_a|
+    (2-norms, eps = 2^-52 the machine epsilon) into its first row S_0,
     carrying the ring's summed weight; other rings stay as they are.
 
     Every grid quantity depends on a node only through its row and its
-    weight, so a merged ring contributes f(S_first) * sum(w), which is
-    the ring's sum up to summation order.  Returns S and weights
+    weight.  For a unit c, |S_a c - S_0 c| <= |S_a - S_0|, so merging a ring
+    moves pn(c) = sum_i w_i |S_i c|^p, p = 2/m, by at most w eps max_a |S_a|
+    for m = 2: one rounding unit of the ring's largest term.  For
+    m >= 3 the first-order change is w p |S_0 c|^(p-1) eps max_a |S_a|;
+    where |S_0 c| ~ 0 the Hoelder bound ||x|^p - |y|^p| <= |x - y|^p
+    caps it at w n_angular^(1-p) (eps max_a |S_a|)^p.  The test sums the
+    deviations rather than taking their largest: a small column x e^{i phi}
+    cancels over the ring but survives the merge at first order (in the
+    pairing cross entries), and the sum holds that error to w eps max_a
+    |S_a|, n_angular times below a per-row test.  Returns S and weights
     themselves when no ring merges.
     """
-    bits = S.view(np.uint64).reshape(-1, n_angular, 2 * S.shape[1])
-    flat = np.all(bits == bits[:, :1], axis=(1, 2))
+    # squared row norms as real products with ones, several times faster
+    # than norms over a few complex columns
+    X = S.view(float)
+    ones = np.ones(X.shape[1])
+    R = X.reshape(-1, n_angular, X.shape[1])
+    sq = np.square(R - R[:, :1]).reshape(X.shape)
+    spread = np.sqrt(sq @ ones).reshape(-1, n_angular).sum(axis=1)
+    top = np.sqrt((np.square(X, out=sq) @ ones).reshape(-1, n_angular).max(axis=1))
+    flat = spread <= np.finfo(float).eps * top
     if not flat.any():
         return S, weights
     keep = np.ones((len(flat), n_angular), dtype=bool)
@@ -219,12 +238,11 @@ def grid_density(S: np.ndarray, C: np.ndarray, m: int,
     given ``pn`` (K,), the grid-max normalized density max_c |S c|^(2/m) /
     pn(c) per node, shape (N,).  Each distinct row of C is scored once.
 
-    pn is summed over node blocks of about 4e6 values (``_BLOCK_ENTRIES``),
-    which fixes its summation order; within a block, S C^T and its powers
-    are formed about 32k values at a time (``_SUB_ENTRIES``) in buffers
-    allocated once per call, which keeps these temporaries in cache.  The
-    grid maximum picks each node's column with a real Gram form and reads
-    its value from S c (see ``_grid_max``).
+    S C^T and its powers are formed about 32k values at a time
+    (``_SUB_ENTRIES``) in buffers allocated once per call, which keeps
+    these temporaries in cache, and pn adds each sub-block's weighted sum.
+    The grid maximum picks each node's column with a real Gram form and
+    reads its value from S c (see ``_grid_max``).
     """
     if pn is not None:
         return _grid_max(S, C, m, pn)
@@ -234,19 +252,16 @@ def grid_density(S: np.ndarray, C: np.ndarray, m: int,
             return grid_density(S, C[keep], m, weights=weights)[at]
     n, k = len(S), len(C)
     p = 2.0 / m
-    block = max(1, _BLOCK_ENTRIES // max(k, 1))
     rows = max(1, _SUB_ENTRIES // max(k, 1))
     z = np.empty((min(rows + 1, n), k), dtype=complex)
+    vals = np.empty((min(rows + 1, n), k))
     out = np.zeros(k)
-    vals = np.empty((min(block, n), k))
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        for r0, r1 in _sub_blocks(lo, hi, rows):
-            a = vals[r0 - lo:r1 - lo]
-            np.abs(np.matmul(S[r0:r1], C.T, out=z[:r1 - r0]), out=a)
-            if p != 1.0:
-                np.power(a, p, out=a)
-        out += weights[lo:hi] @ vals[:hi - lo]
+    for r0, r1 in _sub_blocks(0, n, rows):
+        a = vals[:r1 - r0]
+        np.abs(np.matmul(S[r0:r1], C.T, out=z[:r1 - r0]), out=a)
+        if p != 1.0:
+            np.power(a, p, out=a)
+        out += weights[r0:r1] @ a
     return out
 
 
@@ -353,15 +368,17 @@ def _normalized(z: np.ndarray, m: int, pn: np.ndarray | float) -> np.ndarray:
 class SectionSystem:
     """Frozen quadrature of a family system over all its half-annulus sides.
 
-    Every family is replicated on max(chain_length) charts.  ``S`` holds
-    the scaled section values, one row per node and columns indexed like
-    ``families``, and ``weights`` the matching area weights; a ring of
-    bitwise-equal rows (one s-node of one side of one chart) is one row
-    carrying the ring's summed weight.  ``tables`` holds the families'
-    side tables.  The build fails unless the envelope
-    integral agrees, within 1e-6 relative, with its value on a grid of
-    half the panel length and twice the angular nodes; ``grid_error`` is
-    that difference.
+    Every family is replicated on max(chain_length) charts, which hold the
+    same values: ``S`` holds one chart's scaled section values, one row per
+    node and columns indexed like ``families``, and ``weights`` the
+    matching area weights times the chart count.  A ring (one s-node of
+    one side) whose rows deviate from its first row by at most eps times
+    its largest row in summed 2-norm is that first row carrying the ring's
+    summed weight (see ``_collapse_rings``).  ``tables`` holds the
+    families' side tables.  The build fails unless the envelope integral
+    agrees, within 1e-6 relative, with its value on a grid of half the
+    panel length and twice the angular nodes with every ring kept;
+    ``grid_error`` is that difference.
     """
 
     def __init__(self, families, logt: float):
@@ -384,6 +401,7 @@ class SectionSystem:
             _N_ANGULAR)
         self._grid_pn: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         base = _envelope(self.S, self.weights, m)
+        # the fine grid keeps every ring, so the check covers the merges too
         fine = _envelope(*_chart_grid(tables, n_charts, self.logt,
                                       _PANEL_LENGTH / 2.0, 2 * _N_ANGULAR), m)
         self.grid_error = abs(fine - base) / max(abs(base), 1e-300)
