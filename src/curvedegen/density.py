@@ -216,18 +216,6 @@ def coefficient_grid(n_families: int, optimizer: OptimizerSpec | None = None,
     return np.array(rows)
 
 
-def _sub_blocks(lo: int, hi: int, rows: int):
-    """Row ranges of at most ``rows + 1`` rows covering [lo, hi).  A lone
-    last row joins the range before it: numpy multiplies a single row as a
-    vector, with other rounding than a matrix of rows."""
-    while lo < hi:
-        end = min(lo + rows, hi)
-        if hi - end == 1:
-            end = hi
-        yield lo, end
-        lo = end
-
-
 def grid_density(S: np.ndarray, C: np.ndarray, m: int,
                  weights: np.ndarray | None = None,
                  pn: np.ndarray | None = None) -> np.ndarray:
@@ -253,10 +241,11 @@ def grid_density(S: np.ndarray, C: np.ndarray, m: int,
     n, k = len(S), len(C)
     p = 2.0 / m
     rows = max(1, _SUB_ENTRIES // max(k, 1))
-    z = np.empty((min(rows + 1, n), k), dtype=complex)
-    vals = np.empty((min(rows + 1, n), k))
+    z = np.empty((min(rows, n), k), dtype=complex)
+    vals = np.empty((min(rows, n), k))
     out = np.zeros(k)
-    for r0, r1 in _sub_blocks(0, n, rows):
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
         a = vals[:r1 - r0]
         np.abs(np.matmul(S[r0:r1], C.T, out=z[:r1 - r0]), out=a)
         if p != 1.0:
@@ -326,8 +315,9 @@ def _grid_max(S: np.ndarray, C: np.ndarray, m: int, pn: np.ndarray,
     slack = 2.0 * gamma * M * s[:, None] * cdiag
     out = np.empty(n)
     rows = max(1, _SCORE_ENTRIES // k)
-    score = np.empty((min(rows + 1, n), k))
-    for r0, r1 in _sub_blocks(0, n, rows):
+    score = np.empty((min(rows, n), k))
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
         b = np.matmul(F[r0:r1], G, out=score[:r1 - r0])
         i = np.arange(r1 - r0)
         top = np.argmax(b, axis=1)
@@ -442,11 +432,8 @@ class SectionSystem:
         norms.flags.writeable = U.flags.writeable = False
         return norms, U
 
-    def tau_normalized(self, C: np.ndarray, pn_grid: np.ndarray,
-                       S: np.ndarray | None = None) -> np.ndarray:
+    def tau_normalized(self, C: np.ndarray, pn_grid: np.ndarray) -> np.ndarray:
         """Grid-max normalized density max_c |S c|^(2/m) / pn(c) per node."""
-        if S is not None:
-            return grid_density(S, C, self.m, pn=pn_grid)
         return _grid_max(self.S, C, self.m, pn_grid, self.unit_rows[1])
 
 
@@ -489,18 +476,42 @@ def _majorize(system: SectionSystem, v: np.ndarray, starts, scores,
             np.concatenate([scores, [h for _, h in ends]]))
 
 
+def _system_for(families, logt: float, system: SectionSystem | None) -> SectionSystem:
+    """``system`` if it was built for exactly these families at this depth,
+    else a new one when none is given."""
+    if system is None:
+        return SectionSystem(families, logt)
+    if system.families != tuple(families):
+        raise ValueError("system was built for other families than the ones given")
+    if system.logt != float(logt):
+        raise ValueError(f"system was built at another logt ({system.logt:g}) "
+                         f"than the one given ({float(logt):g})")
+    return system
+
+
+def _check_chart_point(w: complex, logt: float) -> None:
+    """Reject any w off the w side of the chart, 0 <= log(1/|w|) < logt."""
+    r = abs(complex(w))
+    if not (r > 0.0 and 0.0 <= -math.log(r) < logt):
+        raise ValueError(f"w = {w!r} is off the chart: need 0 <= log(1/|w|) "
+                         f"< logt = {float(logt):g}")
+
+
 def ns_density(families, logt: float, w: complex,
                system: SectionSystem | None = None,
                optimizer: OptimizerSpec | None = None) -> float:
     """Extremal density sup over unit combinations of |theta_c(w)|^(2/m) / pn(c).
 
-    ``w`` is a point of the w side of the first chart; the returned value
-    is a density against the area measure dA(w).  The two best points of
+    ``w`` is a point of the w side of the first chart, 0 <= log(1/|w|) <
+    logt, and a given ``system`` must be built from ``families`` at
+    ``logt``; either fault raises ValueError.  The returned value is a
+    density against the area measure dA(w).  The two best points of
     the coefficient grid are polished (see ``OptimizerSpec``), each compass
     step in one ``pn_batch`` call.  Every candidate is a unit coefficient
     vector, so the value is attained and bounds the sup from below.
     """
-    system = system or SectionSystem(families, logt)
+    _check_chart_point(w, logt)
+    system = _system_for(families, logt, system)
     m = system.m
     n = len(system.families)
     v = np.array([fiber_value(f, logt, w) for f in system.families])
@@ -557,7 +568,7 @@ def pairing_matrix(families, logt: float,
     grid maximum; the matrix is a Gram matrix against the positive weight
     tau^(1-m), so it must come out positive definite.
     """
-    system = system or SectionSystem(families, logt)
+    system = _system_for(families, logt, system)
     m = system.m
     tau = system.tau_normalized(*system.grid_pn(optimizer))
     norms, U = system.unit_rows
@@ -582,7 +593,8 @@ def pb_density(families, logt: float, w: complex,
                system: SectionSystem | None = None,
                optimizer: OptimizerSpec | None = None) -> float:
     """Density at w of the measure sum (conj(A)^-1)_jk theta_j conj(theta_k) / tau^(m-1)."""
-    system = system or SectionSystem(families, logt)
+    _check_chart_point(w, logt)
+    system = _system_for(families, logt, system)
     m = system.m
     A = pairing_matrix(families, logt, optimizer=optimizer, system=system)
     v = np.array([fiber_value(f, logt, w) for f in system.families])
@@ -629,7 +641,7 @@ def region_tau_mass(families, logt: float, region: tuple[float, float],
             fw = wu if f is None else wu * np.asarray(f(u), dtype=float)
             S, weights = _collapse_rings(_side_values(system.tables, side, logt, s, phi),
                                          np.repeat(fw, na) * (2.0 * np.pi / na), na)
-            total += float(system.tau_normalized(C, pn_grid, S=S) @ weights) * logt
+            total += float(grid_density(S, C, system.m, pn=pn_grid) @ weights) * logt
         return total
 
     def total_at(n_sub: int, na: int) -> float:

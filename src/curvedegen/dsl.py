@@ -105,12 +105,11 @@ class _Parser:
 class ModelDocument:
     """A parsed model file.
 
-    Keeps the source text and a map from every declared id to the (line,
-    column) of its declaration, so later diagnostics can point back into
-    the file the user actually wrote.
+    Keeps a map from every declared id to the (line, column) of its
+    declaration, so later diagnostics can point back into the file the user
+    actually wrote.
     """
 
-    text: str
     model: DualGraphModel
     locations: dict[str, tuple[int, int]]
 
@@ -241,7 +240,7 @@ def parse_model(text: str) -> ModelDocument:
         raise ParseError("the model block declared no vertices")
     model = DualGraphModel(ModelParams(m_value), tuple(vertices), tuple(edges),
                            tuple(marks))
-    return ModelDocument(text, model, locations)
+    return ModelDocument(model, locations)
 
 
 def emit_model(model: DualGraphModel) -> str:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ModelValidationError
@@ -109,17 +109,12 @@ class Edge:
 
 @dataclass(frozen=True)
 class DualGraphModel:
-    """Immutable dual graph of a degenerate fiber with marks.
-
-    ``provenance`` records the blowup/contraction events that produced the
-    model; it is metadata and excluded from equality.
-    """
+    """Immutable dual graph of a degenerate fiber with marks."""
 
     params: ModelParams
     components: tuple[Component, ...]
     edges: tuple[Edge, ...] = ()
     marks: tuple[MarkedPoint, ...] = ()
-    provenance: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         by_id = {}
@@ -207,10 +202,7 @@ class DualGraphModel:
         """Same marked graph, reinterpreted at a different tensor power."""
         if m == self.params.m:
             return self
-        return DualGraphModel(
-            ModelParams(m), self.components, self.edges, self.marks,
-            self.provenance,
-        )
+        return DualGraphModel(ModelParams(m), self.components, self.edges, self.marks)
 
     def mark_locations(self) -> dict[tuple[str, str | None], list[MarkedPoint]]:
         """Marks grouped by coincident location.

@@ -70,17 +70,16 @@ class SmoothCollapse:
 class NodeCollapse:
     """A two-edge exceptional component collapses back into one node.
 
-    The two source edges merge into ``merged_edge`` between endpoint_a and
-    endpoint_b; positions on the merged edge run from endpoint_a, and the
-    collapsed component sits at distance ``length_a`` from it.
+    The two source edges merge into ``merged_edge``.  Positions on it run
+    from the first endpoint of ``target.edge(merged_edge).endpoints``, which
+    is the end of ``edge_a`` away from the component, and the collapsed
+    component sits at distance ``length_a`` from it.
     """
 
     component: str
     edge_a: str
-    endpoint_a: str
     length_a: Fraction
     edge_b: str
-    endpoint_b: str
     length_b: Fraction
     merged_edge: str
 
@@ -181,7 +180,6 @@ def minimal_snc_model(model: DualGraphModel) -> tuple[DualGraphModel, Domination
     heap = [cid for cid in live if contractible(cid)]
     heapq.heapify(heap)
     steps: list[SmoothCollapse] = []
-    events: list[str] = []
     while heap:
         cid = heapq.heappop(heap)
         if cid not in live or not contractible(cid):
@@ -205,7 +203,6 @@ def minimal_snc_model(model: DualGraphModel) -> tuple[DualGraphModel, Domination
         degree[host] += degree.pop(cid)
         steps.append(SmoothCollapse(cid, edge.id, host, location,
                                     tuple(model.marks[i].id for i in moved)))
-        events.append(f"contract:{cid}->{host}@{location}")
         if contractible(host):
             heapq.heappush(heap, host)
 
@@ -223,7 +220,6 @@ def minimal_snc_model(model: DualGraphModel) -> tuple[DualGraphModel, Domination
             tuple(c for c in model.components if c.id in live),
             tuple(e for e in model.edges if e.id not in gone),
             tuple(marks),
-            model.provenance + tuple(events),
         )
     if len(reduced.components) == 1:
         only = reduced.components[0]
@@ -404,7 +400,6 @@ def blowup_smooth_point(model: DualGraphModel, cid: str,
         model.components + (Component(exc_id, 0, host.multiplicity),),
         model.edges + (Edge(edge_id, (cid, exc_id)),),
         marks,
-        model.provenance + (f"blowup-smooth:{cid}->{exc_id}",),
     )
     location = _fresh_id(f"pt_{exc_id}", _all_ids(blown))
     step = SmoothCollapse(exc_id, edge_id, cid, location, tuple(mark_group))
@@ -434,12 +429,11 @@ def blowup_node(model: DualGraphModel, eid: str) -> tuple[DualGraphModel, Domina
         tuple(x for x in model.edges if x.id != eid)
         + (Edge(ea_id, (va, exc_id)), Edge(eb_id, (exc_id, vb))),
         model.marks,
-        model.provenance + (f"blowup-node:{eid}->{exc_id}",),
     )
     step = NodeCollapse(
         component=exc_id,
-        edge_a=ea_id, endpoint_a=va, length_a=Fraction(1, a * (a + b)),
-        edge_b=eb_id, endpoint_b=vb, length_b=Fraction(1, b * (a + b)),
+        edge_a=ea_id, length_a=Fraction(1, a * (a + b)),
+        edge_b=eb_id, length_b=Fraction(1, b * (a + b)),
         merged_edge=eid,
     )
     return blown, DominationMap(blown, model, (step,))

@@ -68,7 +68,6 @@ def _contract_leaf(model: DualGraphModel, cid: str):
         tuple(c for c in model.components if c.id != cid),
         tuple(e for e in model.edges if e.id != edge.id),
         tuple(marks),
-        model.provenance + (f"contract:{cid}->{host}@{location}",),
     )
     return out, SmoothCollapse(cid, edge.id, host, location, moved)
 

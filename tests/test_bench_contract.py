@@ -62,6 +62,10 @@ def test_positional_density_calls():
     # with one section the kernel-type and sup-type densities coincide
     pb = cd.pb_density(FAMILIES[:1], 100.0, w, None, opt)
     assert pb == pytest.approx(lone, rel=1e-9)
+    # the benchmark's depth and both ends of its |w| range lie on the chart
+    for w in (0.05j, 0.7):
+        assert cd.ns_density(FAMILIES, 1e3, w, None, opt) > 0
+        assert cd.pb_density(FAMILIES, 1e3, w, None, opt) > 0
 
 
 def test_positional_genus0_call():

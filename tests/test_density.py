@@ -477,6 +477,29 @@ class TestNSDensity:
         for w in (complex(1e-2, 0.0), complex(1e-4, 5e-5)):
             assert pb_density(fams, 100.0, w) > 0
 
+    @pytest.mark.parametrize("call", [
+        lambda fams, logt, system: ns_density(fams, logt, 0.3 + 0.1j, system=system),
+        lambda fams, logt, system: pb_density(fams, logt, 0.3 + 0.1j, system=system),
+        lambda fams, logt, system: pairing_matrix(fams, logt, system=system),
+    ], ids=["ns_density", "pb_density", "pairing_matrix"])
+    def test_system_for_other_inputs_refused(self, call):
+        # a system fixes the families and the depth; using one built for
+        # other inputs would mix them silently
+        system = SectionSystem(BENCH_PAIR, 1e2)
+        with pytest.raises(ValueError, match="other families"):
+            call(BENCH_PAIR[:1], 1e2, system)
+        with pytest.raises(ValueError, match="another logt"):
+            call(BENCH_PAIR, 1e3, system)
+        assert np.all(np.isfinite(call(tuple(BENCH_PAIR), 100, system)))
+
+    @pytest.mark.parametrize("density_fn", [ns_density, pb_density])
+    @pytest.mark.parametrize("w", [0.0, 2.0, complex(math.nan, 0.0),
+                                   math.exp(-100.0)])
+    def test_point_off_the_chart_refused(self, density_fn, w):
+        # the chart is 0 <= log(1/|w|) < logt, and each w here lies outside
+        with pytest.raises(ValueError, match=r"0 <= log\(1/\|w\|\) < logt = 100"):
+            density_fn(BENCH_PAIR, 100.0, w)
+
     def test_rank_one_matrix_density_matches_extremal(self):
         # with a single section the matrix measure and the extremal
         # measure coincide

@@ -91,7 +91,6 @@ class TestParsing:
         assert doc.location_of("E1") == (3, 10)
         assert doc.location_of("n") == (5, 8)
         assert doc.location_of("nothing") is None
-        assert doc.text.startswith("model {")
 
 
 class TestParseErrors:

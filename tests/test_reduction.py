@@ -9,6 +9,7 @@ from corpus import minimal_corpus, random_model_with_tails
 from curvedegen import (
     Atom,
     ComponentPoint,
+    EdgePoint,
     LiftError,
     ModelValidationError,
     SmoothCollapse,
@@ -349,6 +350,26 @@ class TestMeasureTransport:
         assert full.source == b2 and full.target == model
         mu = pb_limit_measure(model)
         assert pushforward_measure(lift_measure(mu, full), full) == mu
+
+    def test_node_blowup_atom_positions(self):
+        # positions on the merged edge run from its first endpoint, the far
+        # end of edge_a: an atom at x on edge_b lands at length_a + x.  The
+        # second blowup is unbalanced (multiplicities 1 and 2).
+        model = make_model(2, [("E1", 1), ("E2", 1)], [("n", "E1", "E2")])
+        b1, d1 = blowup_node(model, "n")
+        b2, d2 = blowup_node(b1, "n_a")
+        (step,) = d2.steps
+        assert (step.length_a, step.length_b) == (Fraction(1, 3), Fraction(1, 6))
+        start = b1.edge(step.merged_edge).endpoints[0]
+        assert start in b2.edge(step.edge_a).endpoints and start != step.component
+        mu = lift_measure(pb_limit_measure(model), compose_maps(d2, d1))
+        x = Fraction(1, 12)
+        pin = Atom(EdgePoint(step.edge_b, x), Fraction(1, 5))
+        mu = replace(mu, atoms=mu.atoms + (pin,))
+        pushed = pushforward_measure(mu, d2)
+        assert Atom(EdgePoint(step.merged_edge, Fraction(5, 12)), Fraction(1, 5)) \
+            in pushed.atoms
+        assert lift_measure(pushed, d2) == mu
 
     def test_compose_maps_mismatch(self):
         model = make_model(2, [("E1", 1), ("E2", 1)], [("n", "E1", "E2")])
