@@ -23,10 +23,11 @@ absorbs both the pole and the area rescaling.
 
 Every density goes through one kernel, ``grid_density``.  It sums the
 pseudonorms pn(c) of a coefficient grid, and it takes the extremal density
-at each node as the grid maximum of |S c|^(2/m) / pn(c).  A real Gram form
-picks the maximizing column, a bound on its rounding certifies the pick,
-and the value is read from S C^T, so the maximum is always attained by a
-grid combination.
+at each node as the grid maximum of |S c|^(2/m) / pn(c).  It scores
+exactly the rows it is given, and ``coefficient_grid`` makes them
+distinct.  A real Gram form picks the maximizing column, a bound on its
+rounding certifies the pick, and the value is read from S C^T, so the
+maximum is always attained by a grid combination.
 """
 from __future__ import annotations
 
@@ -77,8 +78,8 @@ class OptimizerSpec:
     The sphere of coefficient lines is scanned on a deterministic grid
     (moduli x relative phases for two-member families, seeded random
     directions above that).  ``ns_density`` runs majorize-minimize steps
-    from the two best grid points, then a compass search from all four
-    points: each step scores the 4M neighbours c +- delta e_j and
+    from the two best grid points, then a compass search from them and
+    from each majorization end that moved: each step scores the 4M neighbours c +- delta e_j and
     c +- i delta e_j, renormalized, moves to the best improvement or else
     halves delta (from 0.25), and stops at delta < 1e-9 or after 200 steps.
     """
@@ -185,20 +186,22 @@ def coefficient_grid(n_families: int, optimizer: OptimizerSpec | None = None,
                      moduli: int = 33, phase: int = 32) -> np.ndarray:
     """Deterministic unit vectors sampling the coefficient sphere, (K, M).
 
-    Two-member families get ``moduli`` x ``phase`` points; larger ones the
-    axes, the pairwise diagonals and seeded random directions up to that
-    count.  Always contains the coordinate axes, so grid maxima of
+    Two-member families get 1 + (moduli - 1) x phase points (cos eta,
+    sin eta e^(i delta)): ``moduli`` values of eta in [0, pi/2], each with
+    ``phase`` phases delta, except eta = 0, which is the one row (1, 0).
+    Larger ones get the axes, the pairwise diagonals and seeded random
+    directions up to moduli x phase rows.  Always contains the coordinate axes, so grid maxima of
     normalized densities never fall below any single member's own density.
     """
     opt = optimizer or OptimizerSpec()
     if n_families == 1:
         return np.ones((1, 1), dtype=complex)
     if n_families == 2:
-        eta = np.linspace(0.0, np.pi / 2.0, moduli)
+        eta = np.linspace(0.0, np.pi / 2.0, moduli)[1:]
         delta = np.arange(phase) * (2.0 * np.pi / phase)
         c0 = np.repeat(np.cos(eta), phase)
-        c1 = np.repeat(np.sin(eta), phase) * np.exp(1j * np.tile(delta, moduli))
-        return np.stack([c0, c1], axis=1)
+        c1 = np.repeat(np.sin(eta), phase) * np.exp(1j * np.tile(delta, moduli - 1))
+        return np.concatenate([[[1.0, 0.0]], np.stack([c0, c1], axis=1)])
     rows = list(np.eye(n_families, dtype=complex))
     for j in range(n_families):
         for k in range(j + 1, n_families):
@@ -224,7 +227,8 @@ def grid_density(S: np.ndarray, C: np.ndarray, m: int,
     ``S`` (N, M) holds section values at N nodes.  Given ``weights`` (N,),
     returns the grid pseudonorms pn(c) = weights @ |S c|^(2/m), shape (K,);
     given ``pn`` (K,), the grid-max normalized density max_c |S c|^(2/m) /
-    pn(c) per node, shape (N,).  Each distinct row of C is scored once.
+    pn(c) per node, shape (N,).  Every row of C is scored as given, so
+    callers pass distinct rows.
 
     S C^T and its powers are formed about 32k values at a time
     (``_SUB_ENTRIES``) in buffers allocated once per call, which keeps
@@ -234,10 +238,6 @@ def grid_density(S: np.ndarray, C: np.ndarray, m: int,
     """
     if pn is not None:
         return _grid_max(S, C, m, pn)
-    if len(C) > 1:
-        keep, at = _distinct_rows(C)
-        if len(keep) < len(C):
-            return grid_density(S, C[keep], m, weights=weights)[at]
     n, k = len(S), len(C)
     p = 2.0 / m
     rows = max(1, _SUB_ENTRIES // max(k, 1))
@@ -252,17 +252,6 @@ def grid_density(S: np.ndarray, C: np.ndarray, m: int,
             np.power(a, p, out=a)
         out += weights[r0:r1] @ a
     return out
-
-
-def _distinct_rows(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the first row of C of each distinct value, in order, and
-    for every row of C the position of its value among them (-0 == +0)."""
-    _, first, inverse = np.unique(C + 0.0, axis=0, return_index=True,
-                                  return_inverse=True)
-    order = np.argsort(first)
-    at = np.empty_like(order)
-    at[order] = np.arange(len(order))
-    return first[order], at[inverse.reshape(-1)]
 
 
 def _unit_rows(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -285,7 +274,7 @@ def _grid_max(S: np.ndarray, C: np.ndarray, m: int, pn: np.ndarray,
 
     The maximizing column also maximizes t_i(c) = |U_i c|^2 s(c), s = (min
     pn / pn)^m, a real bilinear form in the Gram features of U_i and of c.
-    One real matmul scores every distinct column with t_i(c) + gamma
+    One real matmul scores every column with t_i(c) + gamma
     a_i(c), where a_i(c) = M s(c) sum_j |U_ij|^2 |c_j|^2 and gamma = (M^2
     + 9) eps.  By Cauchy-Schwarz a_i(c) >= s(c) (sum_j |U_ij| |c_j|)^2, so
     the inner-product bound gamma_n (Higham, Accuracy and Stability, 3.1)
@@ -297,9 +286,6 @@ def _grid_max(S: np.ndarray, C: np.ndarray, m: int, pn: np.ndarray,
     attained by a grid combination.  The bound holds while the scores stay
     above the float underflow threshold.
     """
-    if len(C) > 1:
-        keep = _distinct_rows(C)[0]
-        C, pn = C[keep], pn[keep]
     if len(C) == 1:
         return _normalized(np.matmul(S, C.T)[:, 0], m, pn[0])
     (n, M), k = S.shape, len(C)
@@ -378,11 +364,12 @@ class SectionSystem:
         m = families[0].m
         if any(f.m != m for f in families):
             raise ValueError("all families must share the same tensor order m")
-        if logt <= 0:
-            raise ValueError("logt must be positive")
+        logt = float(logt)
+        if not (math.isfinite(logt) and logt > 0.0):
+            raise ValueError(f"logt must be finite and positive, got {logt!r}")
         self.families = families
         self.m = m
-        self.logt = float(logt)
+        self.logt = logt
 
         self.tables = tables = [side_tables(f) for f in families]
         n_charts = max(f.chain_length for f in families)
@@ -395,7 +382,7 @@ class SectionSystem:
         fine = _envelope(*_chart_grid(tables, n_charts, self.logt,
                                       _PANEL_LENGTH / 2.0, 2 * _N_ANGULAR), m)
         self.grid_error = abs(fine - base) / max(abs(base), 1e-300)
-        if self.grid_error > 1e-6:
+        if not self.grid_error <= 1e-6:  # fails closed on NaN
             raise NumericalConvergenceError(
                 "frozen quadrature grid failed its refinement check",
                 diagnostics={"grid_error": self.grid_error, "logt": self.logt})
@@ -452,16 +439,18 @@ def pseudonorm(combination, logt: float) -> float:
 def _majorize(system: SectionSystem, v: np.ndarray, starts, scores,
               log_density) -> tuple[np.ndarray, np.ndarray]:
     """Majorize-minimize ascents from unit rows ``starts``: the starts, then
-    where each ascent ends, with their scores.  A step c ~ A^-1 conj(v),
-    A = S^H diag(w_i |S_i c|^(p-2)) S with p = 2/m, minimizes the tangent
-    bound of pn on the chart v.c = 1, so it follows the ridges where rows
-    cancel, on which extremal combinations sit and coordinate steps stall.
+    the end of each ascent that moved, with their scores.  A step c ~
+    A^-1 conj(v), A = S^H diag(w_i |S_i c|^(p-2)) S with p = 2/m, minimizes
+    the tangent bound of pn on the chart v.c = 1, so it follows the ridges
+    where rows cancel, on which extremal combinations sit and coordinate
+    steps stall.
     """
     p = 2.0 / system.m
     norms, U = system.unit_rows  # unit rows keep the weights finite
     base = system.weights * norms ** p
-    ends = []
-    for c, h in zip(starts, scores):
+    rows, vals = list(starts), list(scores)
+    for c, h0 in zip(starts, scores):
+        h = h0
         for _ in range(_POLISH_ROUNDS):
             ratio = np.maximum(np.abs(U @ c), _ROW_FLOOR)
             A = (U.conj().T * (base * ratio ** (p - 2.0))) @ U
@@ -471,9 +460,10 @@ def _majorize(system: SectionSystem, v: np.ndarray, starts, scores,
             if not hy > h:
                 break
             c, h = y, hy
-        ends.append((c, h))
-    return (np.concatenate([starts, [c for c, _ in ends]]),
-            np.concatenate([scores, [h for _, h in ends]]))
+        if h > h0:  # each step rises, so the ascent moved
+            rows.append(c)
+            vals.append(h)
+    return np.array(rows), np.array(vals)
 
 
 def _system_for(families, logt: float, system: SectionSystem | None) -> SectionSystem:
@@ -497,6 +487,16 @@ def _check_chart_point(w: complex, logt: float) -> None:
                          f"< logt = {float(logt):g}")
 
 
+def _density_at(w: complex, log_value: float) -> float:
+    """The density e^log_value at w; raises where it overflows a float."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise NumericalConvergenceError(
+            "density overflows a float",
+            diagnostics={"w": w, "log_value": log_value}) from None
+
+
 def ns_density(families, logt: float, w: complex,
                system: SectionSystem | None = None,
                optimizer: OptimizerSpec | None = None) -> float:
@@ -508,7 +508,8 @@ def ns_density(families, logt: float, w: complex,
     density against the area measure dA(w).  The two best points of
     the coefficient grid are polished (see ``OptimizerSpec``), each compass
     step in one ``pn_batch`` call.  Every candidate is a unit coefficient
-    vector, so the value is attained and bounds the sup from below.
+    vector, so the value is attained and bounds the sup from below.  A
+    value that overflows a float raises NumericalConvergenceError.
     """
     _check_chart_point(w, logt)
     system = _system_for(families, logt, system)
@@ -520,7 +521,8 @@ def ns_density(families, logt: float, w: complex,
         val = abs(v[0])
         if val == 0.0:
             return 0.0
-        return math.exp((2.0 / m) * math.log(val) + log_area) / system.pn([1.0])
+        return _density_at(w, (2.0 / m) * math.log(val) + log_area
+                           - math.log(system.pn([1.0])))
 
     def log_density(C: np.ndarray, pn_c: np.ndarray | None = None) -> np.ndarray:
         amps = np.abs(C @ v)
@@ -536,8 +538,8 @@ def ns_density(families, logt: float, w: complex,
             "coefficient search found no finite objective value",
             diagnostics={"w": w, "logt": logt})
 
-    # compass steps from the grid points and from their majorization ends:
-    # each alone misses maxima the other finds
+    # compass steps from the grid points and from the majorization ends
+    # that moved off them: each alone misses maxima the other finds
     c, h = _majorize(system, v, grid[order[:2]], scores[order[:2]], log_density)
     moves = np.concatenate([z * np.eye(n) for z in (1.0, -1.0, 1j, -1j)])
     step = np.full(len(c), _POLISH_START)
@@ -556,7 +558,7 @@ def ns_density(families, logt: float, w: complex,
         step[live[~gain]] /= 2.0
         live = live[step[live] >= _POLISH_STOP]
     # every step starts at the grid maximum or above and only rises
-    return math.exp(float(h.max()) + log_area)
+    return _density_at(w, float(h.max()) + log_area)
 
 
 def pairing_matrix(families, logt: float,
@@ -607,7 +609,7 @@ def pb_density(families, logt: float, w: complex,
     log_val = (math.log(max(quad, 1e-300))
                - 2.0 * m * math.log(abs(complex(w)))
                - (m - 1) * math.log(tau_w))
-    return math.exp(log_val)
+    return _density_at(w, log_val)
 
 
 def region_tau_mass(families, logt: float, region: tuple[float, float],

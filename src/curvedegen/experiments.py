@@ -8,6 +8,7 @@ a fixed seed, so reruns produce byte-identical tables.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ._lazy import np
@@ -54,6 +55,8 @@ def _check_grid(logt_grid) -> tuple[float, ...]:
     grid = tuple(float(L) for L in logt_grid)
     if len(grid) < 2:
         raise ValueError("need at least two depths to compare along a grid")
+    if not all(math.isfinite(L) for L in grid):
+        raise ValueError(f"logt grid must be finite, got {grid!r}")
     if grid[0] <= 0 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("logt grid must be positive and strictly increasing")
     return grid

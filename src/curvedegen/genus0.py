@@ -15,6 +15,7 @@ come from a full pass at doubled resolution.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -180,10 +181,11 @@ def ns_mass_genus0(points, coefficients, m: int,
     """Mass of the extremal measure for weighted points on the sphere.
 
     ``coefficients`` are the pole orders a_i, each in [1, m-1] so the
-    local integrals converge; sum a_i must be at least 2m.  Points too
-    close to the gluing circle |w| = 1 are rejected; move them first with
-    a Moebius transformation.  ``quad`` is ignored: the resolutions are
-    fixed here, and ``optimizer`` sets only the seed.
+    local integrals converge; sum a_i must be at least 2m.  Non-finite
+    points are rejected, and so are points too close to the gluing circle
+    |w| = 1; move those first with a Moebius transformation.  ``quad`` is
+    ignored: the resolutions are fixed here, and ``optimizer`` sets only
+    the seed.
     """
     del quad
     points = tuple(complex(p) for p in points)
@@ -198,6 +200,8 @@ def ns_mass_genus0(points, coefficients, m: int,
     if d < 0:
         raise ValueError("total weight below 2m: no sections to measure")
     for p in points:
+        if not cmath.isfinite(p):
+            raise ValueError(f"point {p!r} is not finite")
         if abs(abs(p) - 1.0) < _SEAM_MARGIN:
             raise ValueError("point too close to the chart seam |w| = 1; "
                              "move the configuration by a Moebius transformation")

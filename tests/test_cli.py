@@ -348,6 +348,17 @@ class TestVerify:
         assert main(argv) == 1
         assert "increasing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment", ["norm", "pairing"])
+    @pytest.mark.parametrize("depths", ["100,inf", "nan,100"])
+    def test_non_finite_depth_refused(self, files, capsys, experiment, depths):
+        # logt = inf once printed "inf nan inf nan" as a result row
+        argv = ["verify", "--experiment", experiment, "--model", files["dumbbell"],
+                "--logt", depths]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and "finite" in err
+        assert out == ""
+
 
 class TestStartup:
     def test_import_loads_no_scipy(self):

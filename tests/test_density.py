@@ -160,21 +160,27 @@ class TestKernel:
         assert value == pytest.approx(0.5035471076097511, rel=1e-12)
 
 
-    @pytest.mark.parametrize("m", [2, 3])
-    def test_duplicate_rows_scored_once(self, m):
-        # the 32 eta = 0 rows of the two-member grid are one vector; a
-        # duplicate row gets its first occurrence's pn bit for bit
-        rng = np.random.default_rng(m)
-        S = rng.standard_normal((3000, 2)) + 1j * rng.standard_normal((3000, 2))
-        weights = rng.uniform(0.1, 1.0, len(S))
-        C = coefficient_grid(2)
-        signed = np.array([[1.0, complex(-0.0, -0.0)]])  # row 0 with -0 for +0
-        C = np.concatenate([C, C[[40]], signed])
-        pn = grid_density(S, C, m, weights=weights)
-        assert np.all(pn[:32] == pn[0])
-        assert pn[-2] == pn[40] and pn[-1] == pn[0]
-        np.testing.assert_allclose(pn, one_shot_density(S, C, m, weights=weights),
-                                   rtol=1e-13, atol=0)
+    @pytest.mark.parametrize("args, n_rows", [((2,), 1025), ((2, None, 65, 64), 4097)])
+    def test_coefficient_grid_rows_distinct(self, args, n_rows):
+        # the kernel scores every row it is given, so the grid holds each
+        # coefficient vector once: eta = 0 is the one row (1, 0)
+        C = coefficient_grid(*args)
+        assert len(C) == n_rows == len(np.unique(C + 0.0, axis=0))
+        assert C[0].tolist() == [1.0, 0.0]
+
+    def test_search_scores_distinct_rows(self, monkeypatch):
+        # no pn_batch call of the search, the grid's included, repeats a row
+        batch = SectionSystem.pn_batch
+        calls = []
+
+        def checked(self, grid):
+            calls.append(len(grid))
+            assert len(np.unique(grid + 0.0, axis=0)) == len(grid)
+            return batch(self, grid)
+
+        monkeypatch.setattr(SectionSystem, "pn_batch", checked)
+        ns_density(BENCH_PAIR, 1000.0, 0.3 + 0.1j)
+        assert calls[0] == len(coefficient_grid(2)) and len(calls) > 1
 
     def test_legendre_rule_cached_read_only(self):
         xs, ws = density._legendre(32)
@@ -336,6 +342,12 @@ class TestPseudonorm:
         assert info.value.diagnostics["grid_error"] > 1e-6
         system = SectionSystem([LaurentFamily.from_w_powers(2, {40: 1.0})], 100.0)
         assert 1e-8 <= system.grid_error <= 1e-6
+
+    @pytest.mark.parametrize("logt", [math.inf, math.nan, -1.0])
+    def test_non_finite_or_negative_logt_refused(self, logt):
+        # logt = inf once built a system whose pn and grid_error were NaN
+        with pytest.raises(ValueError, match="logt must be finite and positive"):
+            SectionSystem(BENCH_PAIR, logt)
 
     def test_batch_agrees_with_single(self):
         sys2 = SectionSystem(EXACT_PAIR, 100.0)
@@ -499,6 +511,19 @@ class TestNSDensity:
         # the chart is 0 <= log(1/|w|) < logt, and each w here lies outside
         with pytest.raises(ValueError, match=r"0 <= log\(1/\|w\|\) < logt = 100"):
             density_fn(BENCH_PAIR, 100.0, w)
+
+    @pytest.mark.parametrize("density_fn", [ns_density, pb_density])
+    @pytest.mark.parametrize("families", [BENCH_PAIR, BENCH_PAIR[:1]],
+                             ids=["pair", "pole"])
+    def test_density_overflowing_a_float_raises(self, density_fn, families):
+        # e^-499 is on the chart at logt = 1e3, but |w|^-2 is not a float
+        w = math.exp(-499.0)
+        with pytest.raises(NumericalConvergenceError, match="overflows a float") as info:
+            density_fn(families, 1e3, w)
+        assert info.value.diagnostics["w"] == w
+        assert info.value.diagnostics["log_value"] > 709.0
+        # at e^-354 the density, about 4.81e303, still is
+        assert 1e303 < density_fn(families, 1e3, math.exp(-354.0)) < math.inf
 
     def test_rank_one_matrix_density_matches_extremal(self):
         # with a single section the matrix measure and the extremal

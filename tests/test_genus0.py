@@ -49,6 +49,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="seam"):
             ns_mass_genus0((0.1, 0.999, 0.3j, -0.5), (1, 1, 1, 1), 2)
 
+    @pytest.mark.parametrize("bad", [complex(float("nan"), 0.0), complex(0.0, float("inf"))])
+    def test_non_finite_point(self, bad):
+        # an input error, refused before any quadrature runs
+        with pytest.raises(ValueError, match="not finite"):
+            ns_mass_genus0((0.1, bad, 0.3j, -0.5), (1, 1, 1, 1), 2)
+
     def test_insufficient_total_weight(self):
         with pytest.raises(ValueError, match="2m"):
             ns_mass_genus0((0.1, -0.2, 0.3j), (1, 1, 1), 2)
