@@ -69,19 +69,24 @@ _POLISH_START = 0.25   # first compass step on the coefficient sphere
 _POLISH_STOP = 1e-9    # the compass search ends once its step falls below this
 _POLISH_ROUNDS = 200   # majorization steps per start, and compass steps per call
 _ROW_FLOOR = 1e-8      # majorizer weights floor |S_i c| at this fraction of |S_i|
+_MERGE_RADIUS = 0.1    # starts this fraction of their step off a better one are dropped
 
 
 @dataclass(frozen=True)
 class OptimizerSpec:
     """Seed of the coefficient-sphere searches.
 
-    The sphere of coefficient lines is scanned on a deterministic grid
-    (moduli x relative phases for two-member families, seeded random
-    directions above that).  ``ns_density`` runs majorize-minimize steps
-    from the two best grid points, then a compass search from them and
-    from each majorization end that moved: each step scores the 4M neighbours c +- delta e_j and
-    c +- i delta e_j, renormalized, moves to the best improvement or else
-    halves delta (from 0.25), and stops at delta < 1e-9 or after 200 steps.
+    The coefficient lines are scanned on a deterministic grid (moduli x
+    relative phases for two-member families, seeded random directions
+    above that).  ``ns_density`` runs majorize-minimize steps from the two
+    best grid points, then a compass search from them and from each
+    majorization end that moved.  Each round first orders the live starts
+    by score and drops each whose line lies within a tenth of its own step
+    of a better kept start's line, 1 - |<a, b>|^2 < (delta / 10)^2.  Each
+    kept start then scores the 4M neighbours c +- delta e_j and c +- i
+    delta e_j, renormalized (at an axis e_j, less the four along e_j, which
+    stay on its line), moves to the best improvement or else halves delta
+    (from 0.25), and stops at delta < 1e-9 or after 200 rounds.
     """
 
     seed: int = 2024
@@ -184,24 +189,27 @@ def _envelope(S: np.ndarray, weights: np.ndarray, m: int) -> float:
 
 def coefficient_grid(n_families: int, optimizer: OptimizerSpec | None = None,
                      moduli: int = 33, phase: int = 32) -> np.ndarray:
-    """Deterministic unit vectors sampling the coefficient sphere, (K, M).
+    """Deterministic unit vectors sampling the coefficient lines, (K, M).
 
-    Two-member families get 1 + (moduli - 1) x phase points (cos eta,
-    sin eta e^(i delta)): ``moduli`` values of eta in [0, pi/2], each with
-    ``phase`` phases delta, except eta = 0, which is the one row (1, 0).
-    Larger ones get the axes, the pairwise diagonals and seeded random
-    directions up to moduli x phase rows.  Always contains the coordinate axes, so grid maxima of
-    normalized densities never fall below any single member's own density.
+    Normalized densities ignore the scale and phase of c, so the grid
+    holds one row per line.  Two-member families get 2 + (moduli - 2) x
+    phase rows: (1, 0), then (cos eta, sin eta e^(i delta)) for the
+    ``moduli - 2`` interior values of eta on a uniform grid of [0, pi/2],
+    each with ``phase`` phases delta, then (0, 1).  Larger ones get the
+    axes, the pairwise diagonals and seeded random directions up to
+    moduli x phase rows.  Every grid holds the coordinate axes exactly, so
+    grid maxima of normalized densities never fall below any single
+    member's own density.
     """
     opt = optimizer or OptimizerSpec()
     if n_families == 1:
         return np.ones((1, 1), dtype=complex)
     if n_families == 2:
-        eta = np.linspace(0.0, np.pi / 2.0, moduli)[1:]
+        eta = np.linspace(0.0, np.pi / 2.0, moduli)[1:-1]
         delta = np.arange(phase) * (2.0 * np.pi / phase)
         c0 = np.repeat(np.cos(eta), phase)
-        c1 = np.repeat(np.sin(eta), phase) * np.exp(1j * np.tile(delta, moduli - 1))
-        return np.concatenate([[[1.0, 0.0]], np.stack([c0, c1], axis=1)])
+        c1 = np.repeat(np.sin(eta), phase) * np.exp(1j * np.tile(delta, moduli - 2))
+        return np.concatenate([[[1.0, 0.0]], np.stack([c0, c1], axis=1), [[0.0, 1.0]]])
     rows = list(np.eye(n_families, dtype=complex))
     for j in range(n_families):
         for k in range(j + 1, n_families):
@@ -466,6 +474,23 @@ def _majorize(system: SectionSystem, v: np.ndarray, starts, scores,
     return np.array(rows), np.array(vals)
 
 
+def _distinct_starts(c: np.ndarray, h: np.ndarray, step: np.ndarray,
+                     live: np.ndarray) -> np.ndarray:
+    """The live compass starts by descending score, less each whose line
+    lies within _MERGE_RADIUS times its own step of a better kept start's
+    line: 1 - |<a, b>|^2, the squared sine of the angle between the lines,
+    below (_MERGE_RADIUS step)^2.  Such a start only retraces the better
+    one, one step behind it."""
+    live = live[np.argsort(-h[live], kind="stable")]
+    near = 1.0 - np.abs(np.conj(c[live]) @ c[live].T) ** 2
+    radius = (_MERGE_RADIUS * step[live]) ** 2
+    keep = []
+    for i in range(len(live)):
+        if all(near[i, j] >= radius[i] for j in keep):
+            keep.append(i)
+    return live[keep]
+
+
 def _system_for(families, logt: float, system: SectionSystem | None) -> SectionSystem:
     """``system`` if it was built for exactly these families at this depth,
     else a new one when none is given."""
@@ -507,9 +532,11 @@ def ns_density(families, logt: float, w: complex,
     ``logt``; either fault raises ValueError.  The returned value is a
     density against the area measure dA(w).  The two best points of
     the coefficient grid are polished (see ``OptimizerSpec``), each compass
-    step in one ``pn_batch`` call.  Every candidate is a unit coefficient
-    vector, so the value is attained and bounds the sup from below.  A
-    value that overflows a float raises NumericalConvergenceError.
+    round in one ``pn_batch`` call.  A round drops every start whose line
+    lies within a tenth of its step of a better start's line, so starts
+    that meet on one line search it once.  Every candidate is a unit
+    coefficient vector, so the value is attained and bounds the sup from
+    below.  A value that overflows a float raises NumericalConvergenceError.
     """
     _check_chart_point(w, logt)
     system = _system_for(families, logt, system)
@@ -545,11 +572,16 @@ def ns_density(families, logt: float, w: complex,
     step = np.full(len(c), _POLISH_START)
     live = np.arange(len(c))
     for _ in range(_POLISH_ROUNDS):
+        live = _distinct_starts(c, h, step, live)
         if not len(live):
             break
         nb = c[live, None, :] + step[live, None, None] * moves[None, :, :]
         nb /= np.linalg.norm(nb, axis=2, keepdims=True)
-        sc = log_density(nb.reshape(-1, n)).reshape(len(live), len(moves))
+        # at an axis e_j the moves along e_j keep c's line: skip them
+        nz = c[live] != 0.0
+        skip = np.tile(nz, 4) & (nz.sum(axis=1) == 1)[:, None]
+        sc = np.full((len(live), len(moves)), -np.inf)
+        sc[~skip] = log_density(nb[~skip])
         k = np.argmax(sc, axis=1)
         top = sc[np.arange(len(live)), k]
         gain = top > h[live]

@@ -160,13 +160,17 @@ class TestKernel:
         assert value == pytest.approx(0.5035471076097511, rel=1e-12)
 
 
-    @pytest.mark.parametrize("args, n_rows", [((2,), 1025), ((2, None, 65, 64), 4097)])
+    @pytest.mark.parametrize("args, n_rows", [((2,), 994), ((2, None, 65, 64), 4034)])
     def test_coefficient_grid_rows_distinct(self, args, n_rows):
         # the kernel scores every row it is given, so the grid holds each
-        # coefficient vector once: eta = 0 is the one row (1, 0)
+        # coefficient line once: eta = 0 and eta = pi/2 are the exact axes
         C = coefficient_grid(*args)
         assert len(C) == n_rows == len(np.unique(C + 0.0, axis=0))
-        assert C[0].tolist() == [1.0, 0.0]
+        assert C[0].tolist() == [1.0, 0.0] and C[-1].tolist() == [0.0, 1.0]
+        # no two rows span one line
+        overlap = np.abs(np.conj(C) @ C.T) ** 2
+        np.fill_diagonal(overlap, 0.0)
+        assert overlap.max() < 1.0 - 1e-6
 
     def test_search_scores_distinct_rows(self, monkeypatch):
         # no pn_batch call of the search, the grid's included, repeats a row
@@ -181,6 +185,38 @@ class TestKernel:
         monkeypatch.setattr(SectionSystem, "pn_batch", checked)
         ns_density(BENCH_PAIR, 1000.0, 0.3 + 0.1j)
         assert calls[0] == len(coefficient_grid(2)) and len(calls) > 1
+
+    @pytest.mark.parametrize("w", [0.05j, 0.3 + 0.1j, 0.7])
+    def test_search_calls_bounded(self, monkeypatch, w):
+        # starts on one line search it once: without the merge, the second
+        # start crawls toward the (0, 1) line for all 200 rounds (about 205
+        # pn_batch calls)
+        batch = SectionSystem.pn_batch
+        calls = []
+
+        def counted(self, grid):
+            calls.append(len(grid))
+            return batch(self, grid)
+
+        monkeypatch.setattr(SectionSystem, "pn_batch", counted)
+        ns_density(BENCH_PAIR, 1000.0, w)
+        assert len(calls) <= 60
+
+    def test_start_on_a_better_line_dropped(self):
+        # a phase copy of the best line and a start within a tenth of its
+        # step of it are dropped; one more than a step off is kept, whatever
+        # its score
+        best = np.array([0.6, 0.8j])
+        off = np.array([0.6 + 0.005, 0.8j])
+        far = np.array([0.6 + 0.5, 0.8j])
+        c = np.array([best * 1j, off / np.linalg.norm(off), best,
+                      far / np.linalg.norm(far)])
+        h = np.array([1.0, 2.0, 3.0, 0.5])
+        live = density._distinct_starts(c, h, np.full(4, 0.25), np.arange(4))
+        assert live.tolist() == [2, 3]
+        # a start whose own step has shrunk below its distance is kept
+        step = np.array([0.25, 0.001, 0.25, 0.25])
+        assert density._distinct_starts(c, h, step, np.arange(4)).tolist() == [2, 1, 3]
 
     def test_legendre_rule_cached_read_only(self):
         xs, ws = density._legendre(32)
@@ -462,6 +498,17 @@ class TestNSDensity:
     def test_search_keeps_earlier_values(self, families, w, earlier):
         # values of the 12-start Nelder-Mead search this one replaced
         assert ns_density(families, 100.0, w) >= earlier * (1 - 1e-12)
+
+    @pytest.mark.parametrize("families, w, before", [
+        (THREE_M3, 0.1 + 0.3j, 0.47373694195280547),
+        (THREE_M3, 0.7 + 0.0j, 0.21219056794067945),
+        (FOUR_M3, 0.05 + 0.0j, 5.8154581518896205),
+        (FOUR_M3, 0.7 + 0.0j, 0.27907361903801814),
+    ])
+    def test_merged_starts_keep_values(self, families, w, before):
+        # values of the search before it merged starts on one line and
+        # gridded two-member systems on lines: merging never loses a maximum
+        assert ns_density(families, 100.0, w) >= before * (1 - 1e-12)
 
     def test_two_member_value_unchanged(self):
         d = ns_density(EXACT_PAIR, 1000.0, 0.2 + 0.2j)
