@@ -16,8 +16,9 @@ rigid = ns_mass_genus0(pts4, (1, 1, 1, 1), 2)
 print(f"d = 0 mass: {rigid.value:.6f} +/- {rigid.error:.2e}")
 
 # One extra point: d = 1, a two-dimensional section space.  The mass
-# estimate comes from a coefficient-grid-plus-polish search, with an
-# error bar from doubling the resolution.
+# integrates each node's maximum over a grid of coefficient lines; the
+# error bar is twice the change from level 0 to level 1 of the resolution
+# ladder (twice the nodes per direction and twice the coefficient phases).
 pts5 = generic_configuration(5)
 res = ns_mass_genus0(pts5, (1, 1, 1, 1, 1), 2)
 print(f"d = 1 mass: {res.value:.6f} +/- {res.error:.2e}")

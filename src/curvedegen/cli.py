@@ -31,6 +31,9 @@ from .reduction import (StableDualGraph, essential_skeleton, minimal_snc_model,
 
 __all__ = ["main"]
 
+_SEED_HELP = ("seed of the random coefficient directions, which only systems of "
+              "three or more sections use")
+
 
 def _document(path: str) -> ModelDocument:
     with open(path, "r", encoding="utf-8") as fh:
@@ -260,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--push", choices=["cc", "hyb", "fiber"], default="cc")
     q.add_argument("--estimate-genus0", action="store_true",
                    help="numerically estimate genus-0 vertex masses")
-    q.add_argument("--seed", type=int, default=2024)
+    q.add_argument("--seed", type=int, default=2024, help=_SEED_HELP)
     q.add_argument("--json", action="store_true")
     q.add_argument("--dot", metavar="PATH")
 
@@ -282,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--chain", default=None)
     q.add_argument("--logt", default="100,1000,10000",
                    help="comma separated log(1/|t|) grid")
-    q.add_argument("--seed", type=int, default=2024)
+    q.add_argument("--seed", type=int, default=2024,
+                   help=_SEED_HELP + "; these two-family runs only record it")
     q.add_argument("--correction", type=float, default=0.3,
                    help="first-order correction coefficient of the test family")
     q.add_argument("--region", default="0.2,0.4",

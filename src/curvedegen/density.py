@@ -74,20 +74,8 @@ _MERGE_RADIUS = 0.1    # starts this fraction of their step off a better one are
 
 @dataclass(frozen=True)
 class OptimizerSpec:
-    """Seed of the coefficient-sphere searches.
-
-    The coefficient lines are scanned on a deterministic grid (moduli x
-    relative phases for two-member families, seeded random directions
-    above that).  ``ns_density`` runs majorize-minimize steps from the two
-    best grid points, then a compass search from them and from each
-    majorization end that moved.  Each round first orders the live starts
-    by score and drops each whose line lies within a tenth of its own step
-    of a better kept start's line, 1 - |<a, b>|^2 < (delta / 10)^2.  Each
-    kept start then scores the 4M neighbours c +- delta e_j and c +- i
-    delta e_j, renormalized (at an axis e_j, less the four along e_j, which
-    stay on its line), moves to the best improvement or else halves delta
-    (from 0.25), and stops at delta < 1e-9 or after 200 rounds.
-    """
+    """Seed of the random coefficient directions that ``coefficient_grid``
+    adds for three or more families; smaller systems do not read it."""
 
     seed: int = 2024
 
@@ -109,17 +97,6 @@ def gauss_panels(edges, order: int = _GL_ORDER) -> tuple[np.ndarray, np.ndarray]
     return (0.5 * (b - a) * xs + 0.5 * (a + b)).ravel(), (0.5 * (b - a) * ws).ravel()
 
 
-def _gauss_nodes(logt: float, panel_length: float) -> tuple[np.ndarray, np.ndarray]:
-    """Composite GL nodes and weights on [0, logt/2], tail in one panel."""
-    half = logt / 2.0
-    resolved = min(half, _PANEL_CUT)
-    n_panels = max(2, int(math.ceil(resolved / panel_length)))
-    edges = list(np.linspace(0.0, resolved, n_panels + 1))
-    if half > resolved:
-        edges.append(half)
-    return gauss_panels(edges)
-
-
 def _side_values(tables, side: int, logt: float, s: np.ndarray,
                  phi: np.ndarray) -> np.ndarray:
     """Values of every family on one side over the (s, phi) grid, (N, M)."""
@@ -129,22 +106,31 @@ def _side_values(tables, side: int, logt: float, s: np.ndarray,
     return S
 
 
-def _chart_grid(tables, n_charts: int, logt: float, panel_length: float,
-                n_angular: int) -> tuple[np.ndarray, np.ndarray]:
-    """Section values S (N, M) and area weights (N,) at the nodes of both
-    sides of one chart carrying every family.  The ``n_charts`` charts of a
-    chain hold the same values, so the weights carry the factor n_charts."""
-    s_nodes, s_weights = _gauss_nodes(logt, panel_length)
-    phi = np.arange(n_angular) * (2.0 * np.pi / n_angular)
+def _chart_grid(tables, n_charts: int, logt: float,
+                level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Section values S (N, M) and area weights (N,) at the level-``level``
+    nodes of both sides of one chart carrying every family: panels of
+    length _PANEL_LENGTH / 2^level up to _PANEL_CUT, one tail panel, and
+    _N_ANGULAR * 2^level angles.  The ``n_charts`` charts of a chain hold
+    the same values, so the weights carry the factor n_charts."""
+    half = logt / 2.0
+    resolved = min(half, _PANEL_CUT)
+    n_panels = max(2, int(math.ceil(resolved / (_PANEL_LENGTH / 2 ** level))))
+    edges = list(np.linspace(0.0, resolved, n_panels + 1))
+    if half > resolved:
+        edges.append(half)
+    s_nodes, s_weights = gauss_panels(edges)
+    na = _N_ANGULAR << level
+    phi = np.arange(na) * (2.0 * np.pi / na)
     sides = np.concatenate([_side_values(tables, side, logt, s_nodes, phi)
                             for side in (0, 1)])
-    weights = np.repeat(s_weights, n_angular) * (2.0 * np.pi * n_charts / n_angular)
+    weights = np.repeat(s_weights, na) * (2.0 * np.pi * n_charts / na)
     return sides, np.tile(weights, 2)
 
 
 def _collapse_rings(S: np.ndarray, weights: np.ndarray,
-                    n_angular: int) -> tuple[np.ndarray, np.ndarray]:
-    """Merge each ring (``n_angular`` consecutive rows S_a of equal weight
+                    ring: int) -> tuple[np.ndarray, np.ndarray]:
+    """Merge each ring (``ring`` consecutive rows S_a of equal weight
     w, one s-node of one side) with sum_a |S_a - S_0| <= eps max_a |S_a|
     (2-norms, eps = 2^-52 the machine epsilon) into its first row S_0,
     carrying the ring's summed weight; other rings stay as they are.
@@ -155,27 +141,27 @@ def _collapse_rings(S: np.ndarray, weights: np.ndarray,
     for m = 2: one rounding unit of the ring's largest term.  For
     m >= 3 the first-order change is w p |S_0 c|^(p-1) eps max_a |S_a|;
     where |S_0 c| ~ 0 the Hoelder bound ||x|^p - |y|^p| <= |x - y|^p
-    caps it at w n_angular^(1-p) (eps max_a |S_a|)^p.  The test sums the
+    caps it at w ring^(1-p) (eps max_a |S_a|)^p.  The test sums the
     deviations rather than taking their largest: a small column x e^{i phi}
     cancels over the ring but survives the merge at first order (in the
     pairing cross entries), and the sum holds that error to w eps max_a
-    |S_a|, n_angular times below a per-row test.  Returns S and weights
+    |S_a|, ``ring`` times below a per-row test.  Returns S and weights
     themselves when no ring merges.
     """
     # squared row norms as real products with ones, several times faster
     # than norms over a few complex columns
     X = S.view(float)
     ones = np.ones(X.shape[1])
-    R = X.reshape(-1, n_angular, X.shape[1])
+    R = X.reshape(-1, ring, X.shape[1])
     sq = np.square(R - R[:, :1]).reshape(X.shape)
-    spread = np.sqrt(sq @ ones).reshape(-1, n_angular).sum(axis=1)
-    top = np.sqrt((np.square(X, out=sq) @ ones).reshape(-1, n_angular).max(axis=1))
+    spread = np.sqrt(sq @ ones).reshape(-1, ring).sum(axis=1)
+    top = np.sqrt((np.square(X, out=sq) @ ones).reshape(-1, ring).max(axis=1))
     flat = spread <= np.finfo(float).eps * top
     if not flat.any():
         return S, weights
-    keep = np.ones((len(flat), n_angular), dtype=bool)
+    keep = np.ones((len(flat), ring), dtype=bool)
     keep[flat, 1:] = False
-    rings = weights.reshape(-1, n_angular).copy()
+    rings = weights.reshape(-1, ring).copy()
     rings[flat, 0] = rings[flat].sum(axis=1)
     return S[keep.ravel()], rings[keep]
 
@@ -188,20 +174,23 @@ def _envelope(S: np.ndarray, weights: np.ndarray, m: int) -> float:
 
 
 def coefficient_grid(n_families: int, optimizer: OptimizerSpec | None = None,
-                     moduli: int = 33, phase: int = 32) -> np.ndarray:
+                     level: int = 0) -> np.ndarray:
     """Deterministic unit vectors sampling the coefficient lines, (K, M).
 
     Normalized densities ignore the scale and phase of c, so the grid
-    holds one row per line.  Two-member families get 2 + (moduli - 2) x
-    phase rows: (1, 0), then (cos eta, sin eta e^(i delta)) for the
-    ``moduli - 2`` interior values of eta on a uniform grid of [0, pi/2],
-    each with ``phase`` phases delta, then (0, 1).  Larger ones get the
-    axes, the pairwise diagonals and seeded random directions up to
+    holds one row per line.  At ``level`` k there are phase = 32 * 2^k
+    phases and moduli = phase + 1 moduli.  Two-member families get 2 +
+    (moduli - 2) x phase rows: (1, 0), then (cos eta, sin eta e^(i delta))
+    for the ``moduli - 2`` interior values of eta on a uniform grid of [0,
+    pi/2], each with ``phase`` phases delta, then (0, 1).  Larger ones get
+    the axes, the pairwise diagonals and seeded random directions up to
     moduli x phase rows.  Every grid holds the coordinate axes exactly, so
     grid maxima of normalized densities never fall below any single
     member's own density.
     """
     opt = optimizer or OptimizerSpec()
+    phase = 32 << level
+    moduli = phase + 1
     if n_families == 1:
         return np.ones((1, 1), dtype=complex)
     if n_families == 2:
@@ -359,10 +348,10 @@ class SectionSystem:
     one side) whose rows deviate from its first row by at most eps times
     its largest row in summed 2-norm is that first row carrying the ring's
     summed weight (see ``_collapse_rings``).  ``tables`` holds the
-    families' side tables.  The build fails unless the envelope integral
-    agrees, within 1e-6 relative, with its value on a grid of half the
-    panel length and twice the angular nodes with every ring kept;
-    ``grid_error`` is that difference.
+    families' side tables.  The grid is level 0 of ``_chart_grid``; the
+    build fails unless the envelope integral agrees, within 1e-6 relative,
+    with its value at level 1 with every ring kept; ``grid_error`` is that
+    difference.
     """
 
     def __init__(self, families, logt: float):
@@ -382,13 +371,11 @@ class SectionSystem:
         self.tables = tables = [side_tables(f) for f in families]
         n_charts = max(f.chain_length for f in families)
         self.S, self.weights = _collapse_rings(
-            *_chart_grid(tables, n_charts, self.logt, _PANEL_LENGTH, _N_ANGULAR),
-            _N_ANGULAR)
+            *_chart_grid(tables, n_charts, self.logt, 0), _N_ANGULAR)
         self._grid_pn: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         base = _envelope(self.S, self.weights, m)
         # the fine grid keeps every ring, so the check covers the merges too
-        fine = _envelope(*_chart_grid(tables, n_charts, self.logt,
-                                      _PANEL_LENGTH / 2.0, 2 * _N_ANGULAR), m)
+        fine = _envelope(*_chart_grid(tables, n_charts, self.logt, 1), m)
         self.grid_error = abs(fine - base) / max(abs(base), 1e-300)
         if not self.grid_error <= 1e-6:  # fails closed on NaN
             raise NumericalConvergenceError(
@@ -530,13 +517,21 @@ def ns_density(families, logt: float, w: complex,
     ``w`` is a point of the w side of the first chart, 0 <= log(1/|w|) <
     logt, and a given ``system`` must be built from ``families`` at
     ``logt``; either fault raises ValueError.  The returned value is a
-    density against the area measure dA(w).  The two best points of
-    the coefficient grid are polished (see ``OptimizerSpec``), each compass
-    round in one ``pn_batch`` call.  A round drops every start whose line
-    lies within a tenth of its step of a better start's line, so starts
-    that meet on one line search it once.  Every candidate is a unit
-    coefficient vector, so the value is attained and bounds the sup from
-    below.  A value that overflows a float raises NumericalConvergenceError.
+    density against the area measure dA(w).
+
+    The search runs majorize-minimize steps from the two best points of
+    the coefficient grid, then a compass search from them and from each
+    majorization end that moved, each round in one ``pn_batch`` call.
+    Each round first orders the live starts by score and drops each whose
+    line lies within a tenth of its own step of a better kept start's
+    line, 1 - |<a, b>|^2 < (delta / 10)^2, so starts that meet on one line
+    search it once.  Each kept start then scores the 4M neighbours c +-
+    delta e_j and c +- i delta e_j, renormalized (at an axis e_j, less the
+    four along e_j, which stay on its line), moves to the best improvement
+    or else halves delta (from 0.25), and stops at delta < 1e-9 or after
+    200 rounds.  Every candidate is a unit coefficient vector, so the
+    value is attained and bounds the sup from below.  A value that
+    overflows a float raises NumericalConvergenceError.
     """
     _check_chart_point(w, logt)
     system = _system_for(families, logt, system)
@@ -632,7 +627,11 @@ def pb_density(families, logt: float, w: complex,
     m = system.m
     A = pairing_matrix(families, logt, optimizer=optimizer, system=system)
     v = np.array([fiber_value(f, logt, w) for f in system.families])
-    quad = float(np.real(np.conj(v) @ np.linalg.solve(A, v)))
+    try:
+        quad = float(np.real(np.conj(v) @ np.linalg.solve(A, v)))
+    except np.linalg.LinAlgError:
+        raise NumericalConvergenceError(
+            "pairing matrix is singular", diagnostics={"logt": logt, "m": m}) from None
     tau_w = ns_density(families, logt, w, optimizer=optimizer, system=system)
     if tau_w <= 0.0:
         raise NumericalConvergenceError(
@@ -653,6 +652,10 @@ def region_tau_mass(families, logt: float, region: tuple[float, float],
     is an optional vectorized weight along the edge.  The integral runs
     over the first node chart; families crossing an l-chain spread their
     pseudonorm over l charts, which scales regional masses by 1/l.
+
+    Level k takes 2^(k+1) panels on each side's part of the region and
+    _N_ANGULAR * 2^k angles; the mass is the first of levels 1-4 within
+    1e-5 relative of the level before it.
     """
     families = tuple(families)
     if len({fam.chain_length for fam in families}) != 1:
@@ -663,9 +666,10 @@ def region_tau_mass(families, logt: float, region: tuple[float, float],
     system = SectionSystem(families, logt)
     C, pn_grid = system.grid_pn(optimizer)
 
-    def piece(lo: float, hi: float, side: int, n_sub: int, na: int) -> float:
+    def piece(lo: float, hi: float, side: int, level: int) -> float:
         if hi <= lo:
             return 0.0
+        n_sub, na = 2 << level, _N_ANGULAR << level
         phi = np.arange(na) * (2.0 * np.pi / na)
         u_all, w_all = gauss_panels(np.linspace(lo, hi, n_sub + 1))
         total = 0.0
@@ -678,21 +682,13 @@ def region_tau_mass(families, logt: float, region: tuple[float, float],
             total += float(grid_density(S, C, system.m, pn=pn_grid) @ weights) * logt
         return total
 
-    def total_at(n_sub: int, na: int) -> float:
-        return (piece(a, min(b, 0.5), 0, n_sub, na)
-                + piece(max(a, 0.5), b, 1, n_sub, na))
-
-    # first level: two panels on each side's part, the chart's angular count
-    n_sub, na = 2, _N_ANGULAR
-    iterates = [total_at(n_sub, na)]
-    for _ in range(4):
-        n_sub *= 2
-        na *= 2
-        cur = total_at(n_sub, na)
-        if abs(cur - iterates[-1]) <= 1e-5 * max(abs(cur), 1e-300):
+    iterates = []
+    for level in range(5):
+        cur = piece(a, min(b, 0.5), 0, level) + piece(max(a, 0.5), b, 1, level)
+        if iterates and abs(cur - iterates[-1]) <= 1e-5 * max(abs(cur), 1e-300):
             return cur
         iterates.append(cur)
     raise NumericalConvergenceError(
-        "region mass did not stabilize within 4 doublings",
+        "region mass did not stabilize by level 4",
         best=iterates[-1],
         diagnostics={"iterates": iterates, "logt": logt, "region": region})

@@ -10,14 +10,14 @@ The sphere splits into the unit w-disk and the unit v-disk (v = 1/w),
 glued along |w| = 1.  Each disk gets a polar background grid damped near
 the singular points by a smooth cutoff, plus per-singularity patches with
 geometrically shrinking radial layers; below the innermost layer the
-known local power law is added as an exact rank-one term.  Error bars
-come from a full pass at doubled resolution.
+known local power law is added as an exact rank-one term.  The mass is
+the level-1 pass; its error bar is twice the gap to the level-0 pass plus
+1e-10 of the value.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from ._lazy import np
 from .density import OptimizerSpec, coefficient_grid, gauss_panels, grid_density
@@ -27,6 +27,10 @@ from .measures import Estimate
 __all__ = ["generic_configuration", "moebius_points", "ns_mass_genus0"]
 
 _SEAM_MARGIN = 0.05
+# Gauss-Legendre orders of the background panels and of the patch layers,
+# the same at every level
+_BG_GL = 16
+_LAYER_GL = 6
 
 
 def generic_configuration(n: int) -> tuple[complex, ...]:
@@ -47,18 +51,6 @@ def moebius_points(points, coeffs: tuple[float, float, float, float]) -> tuple[c
     if a * d - b * c == 0:
         raise ValueError("degenerate transformation")
     return tuple((a * p + b) / (c * p + d) for p in points)
-
-
-@dataclass(frozen=True)
-class _Controls:
-    bg_panels: int = 8
-    bg_gl: int = 16
-    bg_phi: int = 128
-    layers: int = 40
-    layer_gl: int = 6
-    n_psi: int = 32
-    grid_moduli: int = 33
-    grid_phase: int = 32
 
 
 class _Chart:
@@ -106,11 +98,13 @@ def _bump(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chart_nodes(chart: _Chart, ctl: _Controls):
+def _chart_nodes(chart: _Chart, level: int):
     """(values (N, d+1), weight * singular factor (N,)) for one chart.
 
-    Weights fold in the area element, the background cutoff or patch
-    bump, and for the final rank-one rows the closed-form tail integral.
+    Level k takes 8 * 2^k background panels, 128 * 2^k background angles,
+    32 * 2^k patch angles and 40 + 4k patch layers.  Weights fold in the
+    area element, the background cutoff or patch bump, and for the final
+    rank-one rows the closed-form tail integral.
     """
     m = chart.m
     sings = chart.interior_singularities()
@@ -126,10 +120,11 @@ def _chart_nodes(chart: _Chart, ctl: _Controls):
     blocks_v, blocks_w = [], []
 
     # background polar grid over the whole disk
-    phi = np.arange(ctl.bg_phi) * (2.0 * np.pi / ctl.bg_phi)
-    r_nodes, r_w = gauss_panels(np.linspace(0.0, 1.0, ctl.bg_panels + 1), ctl.bg_gl)
+    bg_phi = 128 << level
+    phi = np.arange(bg_phi) * (2.0 * np.pi / bg_phi)
+    r_nodes, r_w = gauss_panels(np.linspace(0.0, 1.0, (8 << level) + 1), _BG_GL)
     pts = (r_nodes[:, None] * np.exp(1j * phi)[None, :]).reshape(-1)
-    area = (np.repeat(r_nodes * r_w, ctl.bg_phi)) * (2.0 * np.pi / ctl.bg_phi)
+    area = (np.repeat(r_nodes * r_w, bg_phi)) * (2.0 * np.pi / bg_phi)
     cut = np.ones(len(pts))
     for (_, c, _), rho in zip(sings, radii):
         cut -= _bump(np.abs(pts - c) / rho)
@@ -138,16 +133,17 @@ def _chart_nodes(chart: _Chart, ctl: _Controls):
     blocks_w.append(area * cut * chart.sing_factor(pts))
 
     # per-singularity patches: geometric layers in log rho
-    psi = np.arange(ctl.n_psi) * (2.0 * np.pi / ctl.n_psi)
+    n_psi, layers = 32 << level, 40 + 4 * level
+    psi = np.arange(n_psi) * (2.0 * np.pi / n_psi)
     for (j, c, dlin), rho in zip(sings, radii):
         a_j = chart.coeffs[j]
         u_hi = math.log(rho)
-        u_lo = u_hi - ctl.layers * math.log(2.0)
-        u_nodes, u_w = gauss_panels(np.linspace(u_lo, u_hi, ctl.layers + 1), ctl.layer_gl)
+        u_lo = u_hi - layers * math.log(2.0)
+        u_nodes, u_w = gauss_panels(np.linspace(u_lo, u_hi, layers + 1), _LAYER_GL)
         rho_nodes = np.exp(u_nodes)
         pts = (c + rho_nodes[:, None] * np.exp(1j * psi)[None, :]).reshape(-1)
-        area = np.repeat(rho_nodes ** 2 * u_w, ctl.n_psi) * (2.0 * np.pi / ctl.n_psi)
-        bump = np.repeat(_bump(rho_nodes / rho), ctl.n_psi)
+        area = np.repeat(rho_nodes ** 2 * u_w, n_psi) * (2.0 * np.pi / n_psi)
+        bump = np.repeat(_bump(rho_nodes / rho), n_psi)
         blocks_v.append(chart.poly(pts))
         blocks_w.append(area * bump * chart.sing_factor(pts))
 
@@ -165,12 +161,13 @@ def _chart_nodes(chart: _Chart, ctl: _Controls):
     return np.concatenate(blocks_v), np.concatenate(blocks_w)
 
 
-def _mass_pass(points, coeffs, m: int, d: int, ctl: _Controls,
+def _mass_pass(points, coeffs, m: int, d: int, level: int,
                optimizer: OptimizerSpec) -> float:
-    nodes = [_chart_nodes(_Chart(points, coeffs, m, d, kind), ctl) for kind in ("w", "v")]
+    """The mass on the level-``level`` nodes and coefficient grid."""
+    nodes = [_chart_nodes(_Chart(points, coeffs, m, d, kind), level) for kind in ("w", "v")]
     V = np.concatenate([values for values, _ in nodes])
     W = np.concatenate([weights for _, weights in nodes])
-    C = coefficient_grid(d + 1, optimizer, ctl.grid_moduli, ctl.grid_phase)
+    C = coefficient_grid(d + 1, optimizer, level)
     pn = grid_density(V, C, m, weights=W)
     return float(W @ grid_density(V, C, m, pn=pn))
 
@@ -183,9 +180,10 @@ def ns_mass_genus0(points, coefficients, m: int,
     ``coefficients`` are the pole orders a_i, each in [1, m-1] so the
     local integrals converge; sum a_i must be at least 2m.  Non-finite
     points are rejected, and so are points too close to the gluing circle
-    |w| = 1; move those first with a Moebius transformation.  ``quad`` is
-    ignored: the resolutions are fixed here, and ``optimizer`` sets only
-    the seed.
+    |w| = 1; move those first with a Moebius transformation.  The value
+    is the level-1 pass and the error 2 |level 1 - level 0| + 1e-10
+    |value|.  ``quad`` is ignored: the levels are fixed here, and
+    ``optimizer`` sets only the seed.
     """
     del quad
     points = tuple(complex(p) for p in points)
@@ -207,11 +205,7 @@ def ns_mass_genus0(points, coefficients, m: int,
                              "move the configuration by a Moebius transformation")
     opt = optimizer or OptimizerSpec()
 
-    base = _mass_pass(points, coeffs, m, d, _Controls(), opt)
-    fine = _mass_pass(points, coeffs, m, d,
-                      _Controls(bg_panels=16, bg_gl=16, bg_phi=256,
-                                layers=44, layer_gl=6, n_psi=64,
-                                grid_moduli=65, grid_phase=64), opt)
+    base, fine = (_mass_pass(points, coeffs, m, d, level, opt) for level in (0, 1))
     error = 2.0 * abs(fine - base) + 1e-10 * abs(fine)
     if not math.isfinite(fine) or fine <= 0.0:
         raise NumericalConvergenceError(

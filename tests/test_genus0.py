@@ -16,6 +16,13 @@ class TestZeroDimensionalCase:
         assert res.value == pytest.approx(1.0, abs=1e-3)
         assert res.error < 1e-3
 
+    def test_rigid_value_and_error_unchanged(self):
+        # the mass is the level-1 pass, and the bar is 1e-10 of it plus
+        # twice its rounding-level gap to the level-0 pass
+        res = ns_mass_genus0(generic_configuration(4), (1, 1, 1, 1), 2)
+        assert res.value == pytest.approx(1.0, rel=1e-12)
+        assert res.error == pytest.approx(1.000008881784197e-10, rel=1e-12)
+
     def test_higher_order_zero_dimensional(self):
         # m = 3 with coefficients (2, 2, 2): d = 0 again
         pts = generic_configuration(3)
