@@ -137,8 +137,7 @@ def _cmd_measure(args) -> int:
     else:
         out = measure
     sys.stdout.write(dumps(measure_to_json(out)))
-    if args.push == "cc":
-        _write(args.dot, emit_dot(model, measure=measure))
+    _write(args.dot, emit_dot(model, measure=measure))
     return 0
 
 
@@ -265,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="numerically estimate genus-0 vertex masses")
     q.add_argument("--seed", type=int, default=2024, help=_SEED_HELP)
     q.add_argument("--json", action="store_true")
-    q.add_argument("--dot", metavar="PATH")
+    q.add_argument("--dot", metavar="PATH", help="DOT file of the curve-complex masses")
 
     q = add("limit", _cmd_limit, "large-m limit of normalized vertex masses")
     q.add_argument("file")

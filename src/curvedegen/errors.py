@@ -28,7 +28,9 @@ class InternalConsistencyError(CurveDegenError):
 class NumericalConvergenceError(CurveDegenError):
     """Quadrature refinement or an optimizer failed to converge.
 
-    ``diagnostics`` holds the last iterates; ``best`` the best value seen.
+    ``best`` is the last iterate.  After a refinement walk ``diagnostics``
+    holds every iterate under "iterates" plus the caller's context; other
+    failures put the values involved there.
     """
 
     def __init__(self, message, best=None, diagnostics=None):

@@ -10,9 +10,8 @@ The sphere splits into the unit w-disk and the unit v-disk (v = 1/w),
 glued along |w| = 1.  Each disk gets a polar background grid damped near
 the singular points by a smooth cutoff, plus per-singularity patches with
 geometrically shrinking radial layers; below the innermost layer the
-known local power law is added as an exact rank-one term.  The mass is
-the level-1 pass; its error bar is twice the gap to the level-0 pass plus
-1e-10 of the value.
+known local power law is added as an exact rank-one term.  The mass
+walks levels 0 and 1 by ``density._refine``; see ``ns_mass_genus0``.
 """
 from __future__ import annotations
 
@@ -20,7 +19,7 @@ import cmath
 import math
 
 from ._lazy import np
-from .density import OptimizerSpec, coefficient_grid, gauss_panels, grid_density
+from .density import OptimizerSpec, _refine, coefficient_grid, gauss_panels, grid_density
 from .errors import NumericalConvergenceError
 from .measures import Estimate
 
@@ -180,9 +179,10 @@ def ns_mass_genus0(points, coefficients, m: int,
     ``coefficients`` are the pole orders a_i, each in [1, m-1] so the
     local integrals converge; sum a_i must be at least 2m.  Non-finite
     points are rejected, and so are points too close to the gluing circle
-    |w| = 1; move those first with a Moebius transformation.  The value
-    is the level-1 pass and the error 2 |level 1 - level 0| + 1e-10
-    |value|.  ``quad`` is ignored: the levels are fixed here, and
+    |w| = 1; move those first with a Moebius transformation.  The levels
+    0 and 1 go through ``density._refine`` with no tolerance: it takes any
+    finite level-1 value, and the error bar is twice its gap plus 1e-10 of
+    the value.  ``quad`` is ignored: the levels are fixed here, and
     ``optimizer`` sets only the seed.
     """
     del quad
@@ -205,10 +205,9 @@ def ns_mass_genus0(points, coefficients, m: int,
                              "move the configuration by a Moebius transformation")
     opt = optimizer or OptimizerSpec()
 
-    base, fine = (_mass_pass(points, coeffs, m, d, level, opt) for level in (0, 1))
-    error = 2.0 * abs(fine - base) + 1e-10 * abs(fine)
-    if not math.isfinite(fine) or fine <= 0.0:
-        raise NumericalConvergenceError(
-            "sphere mass integration failed",
-            best=fine, diagnostics={"base": base})
-    return Estimate(fine, error)
+    # any finite level-1 value is taken; the gap sizes the error bar
+    fine, gap = _refine(lambda level: _mass_pass(points, coeffs, m, d, level, opt),
+                        math.inf, 1, "sphere mass integration failed")
+    if fine <= 0.0:
+        raise NumericalConvergenceError("sphere mass integration failed", best=fine)
+    return Estimate(fine, 2.0 * gap + 1e-10 * abs(fine))

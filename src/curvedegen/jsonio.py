@@ -2,12 +2,14 @@
 
 Exact rationals serialize as {"num": ..., "den": ...}, the unknown mass
 as the string "unknown", numeric estimates as {"estimate": ..., "error":
-...}.  ``dumps`` sorts keys, so equal objects always produce identical
-bytes.
+...}, and non-finite floats as the strings "nan", "inf" and "-inf", so
+every output is strict JSON.  ``dumps`` sorts keys, so equal objects
+always produce identical bytes.
 """
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .bundles import BundleDescriptor
@@ -29,8 +31,10 @@ def to_jsonable(value):
         return {"num": value.numerator, "den": value.denominator}
     if isinstance(value, Unknown):
         return "unknown"
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)  # "nan", "inf" or "-inf"
     if isinstance(value, Estimate):
-        return {"estimate": value.value, "error": value.error}
+        return {"estimate": to_jsonable(value.value), "error": to_jsonable(value.error)}
     if isinstance(value, ComponentPoint):
         return {"component": value.component, "point": value.point}
     if isinstance(value, EdgePoint):
@@ -51,7 +55,7 @@ def to_jsonable(value):
     if isinstance(value, (list, tuple)):
         return [to_jsonable(v) for v in value]
     if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
+        return {"re": to_jsonable(value.real), "im": to_jsonable(value.imag)}
     return value
 
 

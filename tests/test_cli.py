@@ -1,5 +1,6 @@
 """End-to-end command line runs, in process."""
 import json
+import math
 import os
 import subprocess
 import sys
@@ -213,6 +214,16 @@ class TestMeasures:
                      "--dot", str(target)]) == 0
         assert "mass=" in target.read_text()
 
+    @pytest.mark.parametrize("push", ["hyb", "fiber"])
+    def test_measure_dot_for_every_push(self, files, tmp_path, capsys, push):
+        # the DOT file shows the curve-complex masses whatever --push is
+        cc, pushed = tmp_path / "cc.dot", tmp_path / f"{push}.dot"
+        assert main(["measure", files["dumbbell"], "--kind", "pb",
+                     "--dot", str(cc)]) == 0
+        assert main(["measure", files["dumbbell"], "--kind", "pb", "--push", push,
+                     "--dot", str(pushed)]) == 0
+        assert pushed.read_text() == cc.read_text()
+
     def test_limit_fixed_b(self, files, capsys):
         assert main(["limit", files["dumbbell"], "--mode", "fixed-B"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -401,3 +412,27 @@ class TestExitCodes:
             "best": 0.5,
             "diagnostics": {"iterates": [0.25, 0.5], "region": [0.2, 0.4],
                             "w": {"re": 0.5, "im": 0.25}}}
+
+    def test_non_finite_details_are_strict_json(self, files, monkeypatch, capsys):
+        # an envelope that turns NaN at level 1 fails the build check; the
+        # details line must still parse without NaN or Infinity literals
+        import curvedegen.density as density
+
+        real, calls = density._envelope, []
+
+        def nan_at_level_one(S, weights, m):
+            calls.append(m)
+            return real(S, weights, m) if len(calls) == 1 else math.nan
+
+        def refuse(name):
+            raise ValueError(f"non-strict JSON constant {name}")
+
+        monkeypatch.setattr(density, "_envelope", nan_at_level_one)
+        argv = ["verify", "--experiment", "norm", "--model", files["dumbbell"],
+                "--logt", "100,1000"]
+        assert main(argv) == 3
+        details = json.loads(capsys.readouterr().err.splitlines()[1],
+                             parse_constant=refuse)
+        assert details["best"] == "nan"
+        assert details["diagnostics"]["iterates"][1] == "nan"
+        assert details["diagnostics"]["logt"] == 100.0

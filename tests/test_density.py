@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from curvedegen import LaurentFamily, NumericalConvergenceError
-from curvedegen import density
+from curvedegen import density, genus0
 from curvedegen.density import (
     SectionSystem,
     coefficient_grid,
@@ -387,7 +387,8 @@ class TestPseudonorm:
         # resolve; a certificate that refines only the angle passes it
         with pytest.raises(NumericalConvergenceError) as info:
             SectionSystem([LaurentFamily.from_w_powers(2, {60: 1.0})], 100.0)
-        assert info.value.diagnostics["grid_error"] > 1e-6
+        coarse, fine = info.value.diagnostics["iterates"]
+        assert abs(fine - coarse) / abs(fine) > 1e-6
         system = SectionSystem([LaurentFamily.from_w_powers(2, {40: 1.0})], 100.0)
         assert 1e-8 <= system.grid_error <= 1e-6
 
@@ -623,6 +624,10 @@ class TestRegionMass:
         with pytest.raises(ValueError):
             region_tau_mass(fams, 100.0, (0.2, 0.4))
 
+    def test_no_families_rejected(self):
+        with pytest.raises(ValueError, match="at least one family"):
+            region_tau_mass([], 100.0, (0.2, 0.4))
+
     def test_unstable_weight_raises_with_history(self):
         # a weight oscillating far below every level's resolution keeps
         # consecutive doublings from agreeing
@@ -634,3 +639,48 @@ class TestRegionMass:
         assert err.best == err.diagnostics["iterates"][-1]
         assert err.diagnostics["region"] == (0.2, 0.4)
         assert err.diagnostics["logt"] == 1000.0
+
+
+def _nan_envelope_at_level_one(monkeypatch):
+    real, calls = density._envelope, []
+
+    def envelope(S, weights, m):
+        calls.append(m)
+        return real(S, weights, m) if len(calls) == 1 else math.nan
+
+    monkeypatch.setattr(density, "_envelope", envelope)
+    return lambda: SectionSystem(BENCH_PAIR, 100.0)
+
+
+def _inf_weight_after_level_zero(monkeypatch):
+    # (0.2, 0.4) lies on the w side, which level 0 cuts into two panels
+    calls = []
+
+    def weight(u):
+        calls.append(u)
+        return np.full_like(u, 1.0 if len(calls) <= 2 else math.inf)
+
+    return lambda: region_tau_mass([LaurentFamily.pole(2)], 1000.0, (0.2, 0.4), weight)
+
+
+def _nan_sphere_pass(monkeypatch):
+    monkeypatch.setattr(genus0, "_mass_pass", lambda *args: math.nan)
+    return lambda: genus0.ns_mass_genus0(genus0.generic_configuration(4), (1, 1, 1, 1), 2)
+
+
+class TestRefinementWalk:
+    @pytest.mark.parametrize("setup, best, n_levels, context", [
+        (_nan_envelope_at_level_one, math.nan, 2, {"logt"}),
+        (_inf_weight_after_level_zero, math.inf, 5, {"logt", "region"}),
+        (_nan_sphere_pass, math.nan, 2, set()),
+    ], ids=["build", "region", "genus0"])
+    def test_non_finite_level_refused(self, monkeypatch, setup, best, n_levels, context):
+        # a non-finite level never agrees with the one before it, so every
+        # walk raises with its last iterate and the whole history
+        run = setup(monkeypatch)
+        with pytest.raises(NumericalConvergenceError) as info:
+            run()
+        err = info.value
+        assert err.best == pytest.approx(best, nan_ok=True)
+        assert len(err.diagnostics["iterates"]) == n_levels
+        assert set(err.diagnostics) == {"iterates"} | context
