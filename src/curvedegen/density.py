@@ -11,7 +11,11 @@ rows deviate from its first row, in sum, by at most machine epsilon times
 its largest row (deep in the annulus each section is its dominant Laurent
 term plus terms smaller by e^-s) is that first row carrying the ring's
 summed weight; see ``_collapse_rings`` for the bound on pn.  An l-chain is
-one chart whose weights carry the factor l.
+one chart whose weights carry the factor l.  Each build checks its grid
+against level 1 of the ladder through the envelope integral of (sum_j
+|S_j|^2)^(1/m).  Level 1 keeps every node, and its squared row norms come
+from the side tables (at each s a family is a short Fourier series in
+phi), so no level-1 grid is built.
 
 Numeric contract: pinned values hold to 1e-12 relative, and the summation
 order of every grid sum is free.
@@ -106,13 +110,12 @@ def _side_values(tables, side: int, logt: float, s: np.ndarray,
     return S
 
 
-def _chart_grid(tables, n_charts: int, logt: float,
-                level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Section values S (N, M) and area weights (N,) at the level-``level``
-    nodes of both sides of one chart carrying every family: panels of
-    length _PANEL_LENGTH / 2^level up to _PANEL_CUT, one tail panel, and
-    _N_ANGULAR * 2^level angles.  The ``n_charts`` charts of a chain hold
-    the same values, so the weights carry the factor n_charts."""
+def _chart_rule(logt: float, level: int,
+                n_charts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The level-``level`` nodes of one side of a chart: s-nodes of
+    composite Gauss-Legendre panels of length _PANEL_LENGTH / 2^level up to
+    _PANEL_CUT and one tail panel, _N_ANGULAR * 2^level uniform angles phi,
+    and the area weights of their tensor grid, s-major, times ``n_charts``."""
     half = logt / 2.0
     resolved = min(half, _PANEL_CUT)
     n_panels = max(2, int(math.ceil(resolved / (_PANEL_LENGTH / 2 ** level))))
@@ -122,10 +125,64 @@ def _chart_grid(tables, n_charts: int, logt: float,
     s_nodes, s_weights = gauss_panels(edges)
     na = _N_ANGULAR << level
     phi = np.arange(na) * (2.0 * np.pi / na)
+    return s_nodes, phi, np.repeat(s_weights, na) * (2.0 * np.pi * n_charts / na)
+
+
+def _chart_grid(tables, n_charts: int, logt: float,
+                level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Section values S (N, M) and area weights (N,) at the ``_chart_rule``
+    nodes of both sides of one chart carrying every family.  The
+    ``n_charts`` charts of a chain hold the same values, so the weights
+    carry the factor n_charts."""
+    s_nodes, phi, weights = _chart_rule(logt, level, n_charts)
     sides = np.concatenate([_side_values(tables, side, logt, s_nodes, phi)
                             for side in (0, 1)])
-    weights = np.repeat(s_weights, na) * (2.0 * np.pi * n_charts / na)
     return sides, np.tile(weights, 2)
+
+
+def _side_norms(tables, logt: float, s: np.ndarray, phi: np.ndarray,
+                out: np.ndarray) -> None:
+    """Write sum_j |S_j|^2 over the (s, phi) grid of one side into ``out``
+    (len(s), len(phi)), from the side tables ``tables`` (one per family)
+    without forming S.
+
+    Term t of family j has the radial factor a_t(s) = c_t e^-(b_t L + k_t s)
+    and the angular factor e^(i k_t phi), so sum_j |S_j|^2 = sum_D R_D(s)
+    e^(i D phi), where R_D sums a_t conj(a_t') over the term pairs of one
+    family with slope difference k_t - k_t' = D.  One real product of
+    (Re R, Im R) against (cos D phi, -sin D phi) evaluates it at every node.
+    Per node this expanded form rounds to within about c eps (sum_t
+    |a_t|)^2, c a small multiple of the term count, where |S_j|^2 from
+    built values rounds to about 2 eps |S_j| sum_t |a_t|: the two agree to
+    rounding except where a family cancels far below its terms.
+    Values rounded below zero are clamped to zero.
+    """
+    coeff = np.array([c for tab in tables for c in tab.coeff], dtype=complex)
+    base = np.array([b for tab in tables for b in tab.base], dtype=float)
+    slope = np.array([k for tab in tables for k in tab.slope], dtype=float)
+    a = coeff * np.exp(-(base * logt + np.outer(s, slope)))
+    ends = np.cumsum([0] + [len(tab.coeff) for tab in tables])
+    pairs = [(t, u) for lo, hi in zip(ends[:-1], ends[1:])
+             for t in range(lo, hi) for u in range(lo, hi)]
+    t, u = np.array(pairs, dtype=int).reshape(-1, 2).T
+    diffs, at = np.unique(slope[t] - slope[u], return_inverse=True)
+    R = (a[:, t] * np.conj(a[:, u])) @ (at[:, None] == np.arange(len(diffs)))
+    angle = np.outer(diffs, phi)
+    np.matmul(np.concatenate([R.real, R.imag], axis=1),
+              np.concatenate([np.cos(angle), -np.sin(angle)]), out=out)
+    np.maximum(out, 0.0, out=out)
+
+
+def _table_norms(tables, n_charts: int, logt: float,
+                 level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Squared row norms sum_j |S_j|^2 (N,) and area weights (N,) at the
+    nodes of ``_chart_grid(tables, n_charts, logt, level)``, taken from the
+    side tables (see ``_side_norms``) instead of a built grid."""
+    s_nodes, phi, weights = _chart_rule(logt, level, n_charts)
+    sq = np.empty((2, len(s_nodes), len(phi)))
+    for side in (0, 1):
+        _side_norms([tab[side] for tab in tables], logt, s_nodes, phi, sq[side])
+    return sq.reshape(-1), np.tile(weights, 2)
 
 
 def _collapse_rings(S: np.ndarray, weights: np.ndarray,
@@ -185,10 +242,15 @@ def _refine(value_at, tol: float, top: int, what: str, **context) -> tuple[float
 
 
 def _envelope(S: np.ndarray, weights: np.ndarray, m: int) -> float:
-    # sqrt(sum_j |S_j|^2)^(2/m) dominates every unit combination; the row
-    # sums run as a product with ones, which is several times faster than
-    # sum(axis=1) over a few columns
-    return float(weights @ ((np.abs(S) ** 2) @ np.ones(S.shape[1])) ** (1.0 / m))
+    """Integral of (sum_j |S_j|^2)^(1/m), which dominates |S c|^(2/m) for
+    every unit c.  ``S`` holds section values (N, M) or their squared row
+    norms (N,).  A build passes its level-0 grid, then the level-1 squared
+    norms that ``_table_norms`` computes from the side tables, so no
+    level-1 grid is built."""
+    # the row sums run as a product with ones, which is several times
+    # faster than sum(axis=1) over a few columns
+    sq = S if S.ndim == 1 else (np.abs(S) ** 2) @ np.ones(S.shape[1])
+    return float(weights @ sq ** (1.0 / m))
 
 
 def coefficient_grid(n_families: int, optimizer: OptimizerSpec | None = None,
@@ -369,6 +431,9 @@ class SectionSystem:
     families' side tables.  The grid is level 0 of ``_chart_grid``; its
     envelope integral walks to level 1, with every ring kept, by
     ``_refine`` at 1e-6, and ``grid_error`` is the gap relative to level 1.
+    Level 1 is computed from the side tables (``_table_norms``), not from
+    a built grid.  A family that is zero on every node builds, but
+    ``grid_pn`` refuses it.
     """
 
     def __init__(self, families, logt: float):
@@ -393,7 +458,7 @@ class SectionSystem:
         base = _envelope(self.S, self.weights, m)
         # level 1 keeps every ring, so the check covers the merges too
         fine, gap = _refine(lambda level: base if level == 0 else _envelope(
-            *_chart_grid(tables, n_charts, self.logt, level), m), 1e-6, 1,
+            *_table_norms(tables, n_charts, self.logt, level), m), 1e-6, 1,
             "frozen quadrature grid failed its refinement check", logt=self.logt)
         self.grid_error = gap / max(abs(fine), 1e-300)
 
@@ -413,9 +478,15 @@ class SectionSystem:
     def grid_pn(self, optimizer: OptimizerSpec | None = None
                 ) -> tuple[np.ndarray, np.ndarray]:
         """The coefficient grid and its pseudonorms, read-only and scored
-        once per optimizer seed."""
+        once per optimizer seed.  The grid holds the exact axes, so a family
+        that is zero on every node would score pn = 0 and divide by it:
+        such a family raises ValueError instead."""
         seed = (optimizer or OptimizerSpec()).seed
         if seed not in self._grid_pn:
+            zero = np.flatnonzero(~self.S.any(axis=0))
+            if zero.size:
+                raise ValueError(f"family {zero[0]} is zero on every node: "
+                                 "its pseudonorm is 0")
             C = coefficient_grid(len(self.families), optimizer)
             pn_grid = self.pn_batch(C)
             C.flags.writeable = pn_grid.flags.writeable = False
@@ -554,12 +625,13 @@ def ns_density(families, logt: float, w: complex,
     n = len(system.families)
     v = np.array([fiber_value(f, logt, w) for f in system.families])
     log_area = -2.0 * math.log(abs(complex(w)))
+    grid, pn_grid = system.grid_pn(optimizer)
     if n == 1:
         val = abs(v[0])
         if val == 0.0:
             return 0.0
         return _density_at(w, (2.0 / m) * math.log(val) + log_area
-                           - math.log(system.pn([1.0])))
+                           - math.log(pn_grid[0]))
 
     def log_density(C: np.ndarray, pn_c: np.ndarray | None = None) -> np.ndarray:
         amps = np.abs(C @ v)
@@ -567,7 +639,6 @@ def ns_density(families, logt: float, w: complex,
             return (2.0 / m) * np.log(amps) - np.log(
                 system.pn_batch(C) if pn_c is None else pn_c)
 
-    grid, pn_grid = system.grid_pn(optimizer)
     scores = log_density(grid, pn_grid)
     order = np.argsort(scores)[::-1]
     if not math.isfinite(scores[order[0]]):

@@ -38,6 +38,11 @@ FOUR_M3 = [LaurentFamily.from_w_powers(3, {0: 1.0, 2: 0.25}),
            LaurentFamily.from_dict(3, {(1, 0): 1.0, (0, 1): 0.3})]
 
 
+def large_m_families(m, n_families):
+    return [LaurentFamily.pole(m), LaurentFamily.from_w_powers(m, {1: 1.0, 0: 0.3}),
+            LaurentFamily.from_w_powers(m, {2: 1.0})][:n_families]
+
+
 def one_shot_density(S, C, m, weights=None, pn=None):
     """grid_density without blocks: the reference for its streamed body."""
     vals = np.abs(S @ C.T) ** (2.0 / m)
@@ -80,8 +85,7 @@ class TestKernel:
     def test_large_m_systems(self, m, logt, n_families):
         # pn spans 2-3 decades here, so s = (min pn / pn)^m spans 19-42
         # decades: the scores' rounding must be bounded per (node, row) pair
-        fams = [LaurentFamily.pole(m), LaurentFamily.from_w_powers(m, {1: 1.0, 0: 0.3}),
-                LaurentFamily.from_w_powers(m, {2: 1.0})][:n_families]
+        fams = large_m_families(m, n_families)
         system = SectionSystem(fams, logt)
         C, pn = system.grid_pn()
         S = system.S[::8]
@@ -404,6 +408,76 @@ class TestPseudonorm:
         batch = sys2.pn_batch(grid)
         singles = [sys2.pn(row) for row in grid]
         assert batch == pytest.approx(singles, rel=1e-12)
+
+
+ZERO = LaurentFamily.from_dict(2, {})
+
+
+class TestBuildCheck:
+    @pytest.mark.parametrize("families", [
+        BENCH_PAIR, PERTURBED_PAIR, THREE_M3, FOUR_M3, [LaurentFamily.pole(2, 2)],
+        large_m_families(8, 2), large_m_families(8, 3),
+        large_m_families(12, 3), large_m_families(12, 2),
+        # |1 - w|^2 cancels near s = 0, phi = 0
+        [LaurentFamily.from_w_powers(2, {0: 1, 1: -1})],
+        [LaurentFamily.from_w_powers(12, {0: 1, 1: -1})],
+    ], ids=["bench", "perturbed", "three_m3", "four_m3", "pole_chain2", "m8x2", "m8x3",
+            "m12x3", "m12x2", "cancel_m2", "cancel_m12"])
+    def test_table_envelope_matches_built_grid(self, families):
+        # the level-1 check reads the squared row norms from the side
+        # tables; the built level-1 grid is the reference
+        tables = [density.side_tables(f) for f in families]
+        n_charts = max(f.chain_length for f in families)
+        m = families[0].m
+        for logt in (12.0, 1e2, 1e3, 1e4):
+            S, weights = density._chart_grid(tables, n_charts, logt, 1)
+            sq, table_weights = density._table_norms(tables, n_charts, logt, 1)
+            assert np.array_equal(table_weights, weights)
+            ref = np.sum(np.abs(S) ** 2, axis=1)
+            np.testing.assert_allclose(sq, ref, rtol=0, atol=1e-13 * ref.max())
+            assert density._envelope(sq, weights, m) == pytest.approx(
+                density._envelope(S, weights, m), rel=1e-13, abs=0)
+
+    def test_section_zero_on_a_level_one_node(self):
+        # -x + w vanishes at level-1 node 111, phi = 0, where the expanded
+        # squared norm rounds to -6.6e-24: it must count as 0, not as NaN
+        s = density._chart_rule(100.0, 1, 1)[0]
+        family = LaurentFamily.from_w_powers(2, {0: -math.exp(-s[111]), 1: 1.0})
+        tables = [density.side_tables(family)]
+        ref = density._envelope(*density._chart_grid(tables, 1, 100.0, 1), 2)
+        val = density._envelope(*density._table_norms(tables, 1, 100.0, 1), 2)
+        assert val == pytest.approx(ref, rel=1e-13, abs=0)
+        assert 1e-8 <= SectionSystem([family], 100.0).grid_error <= 2e-8
+
+    def test_build_never_holds_the_level_one_grid(self):
+        # building the level-1 grid put this peak at 12.4 MB; 4.8 MB without it
+        tracemalloc.start()
+        try:
+            SectionSystem(BENCH_PAIR, 1e3)
+            assert tracemalloc.get_traced_memory()[1] <= 6e6
+        finally:
+            tracemalloc.stop()
+
+    def test_zero_family_builds(self):
+        # a family with no terms has an empty side table on both sides
+        system = SectionSystem([ZERO], 100.0)
+        assert system.grid_error == 0.0
+        assert pseudonorm([(1.0, ZERO)], 100.0) == 0.0
+        # but its density would divide 0 by 0
+        with pytest.raises(ValueError, match="family 0 is zero on every node"):
+            ns_density([ZERO], 100.0, 0.3 + 0.1j)
+
+    @pytest.mark.parametrize("call", [
+        lambda fams: ns_density(fams, 100.0, 0.3 + 0.1j),
+        lambda fams: pairing_matrix(fams, 100.0),
+        lambda fams: pb_density(fams, 100.0, 0.3 + 0.1j),
+        lambda fams: region_tau_mass(fams, 100.0, (0.2, 0.4)),
+    ], ids=["ns_density", "pairing_matrix", "pb_density", "region_tau_mass"])
+    def test_zero_family_refused(self, call):
+        # its pn(e_0) is 0: the pairing matrix came out as the zero matrix
+        # and the densities divided 0 by 0
+        with pytest.raises(ValueError, match="family 0 is zero on every node"):
+            call([ZERO, LaurentFamily.pole(2)])
 
 
 class TestPairing:
