@@ -25,13 +25,14 @@ measure of the chart coordinate.  The m-th root trick applies throughout:
 a family theta is handled through p = w^m * theta_t, whose 2/m power
 absorbs both the pole and the area rescaling.
 
-Every density goes through one kernel, ``grid_density``.  It sums the
-pseudonorms pn(c) of a coefficient grid, and it takes the extremal density
-at each node as the grid maximum of |S c|^(2/m) / pn(c).  It scores
-exactly the rows it is given, and ``coefficient_grid`` makes them
-distinct.  A real Gram form picks the maximizing column, a bound on its
-rounding certifies the pick, and the value is read from S C^T, so the
-maximum is always attained by a grid combination.
+Every density goes through two kernels.  ``grid_density`` sums the
+pseudonorms pn(c) of a coefficient grid, and ``grid_max`` takes the
+extremal density at each node as the grid maximum of |S c|^(2/m) / pn(c).
+Both score exactly the rows they are given, and ``coefficient_grid``
+makes them distinct.  In ``grid_max`` a real Gram form picks the
+maximizing column, a bound on its rounding certifies the pick, and the
+value is read from S C^T, so the maximum is always attained by a grid
+combination.
 """
 from __future__ import annotations
 
@@ -49,6 +50,7 @@ __all__ = [
     "coefficient_grid",
     "gauss_panels",
     "grid_density",
+    "grid_max",
     "pseudonorm",
     "ns_density",
     "pairing_matrix",
@@ -241,15 +243,12 @@ def _refine(value_at, tol: float, top: int, what: str, **context) -> tuple[float
         what, best=iterates[-1], diagnostics={"iterates": iterates, **context})
 
 
-def _envelope(S: np.ndarray, weights: np.ndarray, m: int) -> float:
+def _envelope(sq: np.ndarray, weights: np.ndarray, m: int) -> float:
     """Integral of (sum_j |S_j|^2)^(1/m), which dominates |S c|^(2/m) for
-    every unit c.  ``S`` holds section values (N, M) or their squared row
-    norms (N,).  A build passes its level-0 grid, then the level-1 squared
-    norms that ``_table_norms`` computes from the side tables, so no
+    every unit c, from the squared row norms ``sq`` (N,) and the weights
+    (N,).  A build passes the squared norms of its level-0 grid, then the
+    level-1 ones that ``_table_norms`` computes from the side tables, so no
     level-1 grid is built."""
-    # the row sums run as a product with ones, which is several times
-    # faster than sum(axis=1) over a few columns
-    sq = S if S.ndim == 1 else (np.abs(S) ** 2) @ np.ones(S.shape[1])
     return float(weights @ sq ** (1.0 / m))
 
 
@@ -297,24 +296,16 @@ def coefficient_grid(n_families: int, optimizer: OptimizerSpec | None = None,
 
 
 def grid_density(S: np.ndarray, C: np.ndarray, m: int,
-                 weights: np.ndarray | None = None,
-                 pn: np.ndarray | None = None) -> np.ndarray:
-    """The extremal-density kernel: |S c|^(2/m) for each row c of C (K, M).
+                 weights: np.ndarray) -> np.ndarray:
+    """The pseudonorm kernel: pn(c) = weights @ |S c|^(2/m) for each row c
+    of C (K, M), shape (K,).
 
-    ``S`` (N, M) holds section values at N nodes.  Given ``weights`` (N,),
-    returns the grid pseudonorms pn(c) = weights @ |S c|^(2/m), shape (K,);
-    given ``pn`` (K,), the grid-max normalized density max_c |S c|^(2/m) /
-    pn(c) per node, shape (N,).  Every row of C is scored as given, so
-    callers pass distinct rows.
-
-    S C^T and its powers are formed about 32k values at a time
-    (``_SUB_ENTRIES``) in buffers allocated once per call, which keeps
+    ``S`` (N, M) holds section values at N nodes and ``weights`` (N,) their
+    area weights.  Every row of C is scored as given, so callers pass
+    distinct rows.  S C^T and its powers are formed about 32k values at a
+    time (``_SUB_ENTRIES``) in buffers allocated once per call, which keeps
     these temporaries in cache, and pn adds each sub-block's weighted sum.
-    The grid maximum picks each node's column with a real Gram form and
-    reads its value from S c (see ``_grid_max``).
     """
-    if pn is not None:
-        return _grid_max(S, C, m, pn)
     n, k = len(S), len(C)
     p = 2.0 / m
     rows = max(1, _SUB_ENTRIES // max(k, 1))
@@ -344,10 +335,12 @@ def _gram_features(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return X.real ** 2 + X.imag ** 2, X[:, j] * np.conj(X[:, k])
 
 
-def _grid_max(S: np.ndarray, C: np.ndarray, m: int, pn: np.ndarray,
-              U: np.ndarray | None = None) -> np.ndarray:
-    """max_c |S_i c|^(2/m) / pn(c) per node i; ``U`` holds the unit rows
-    of S when they are at hand.
+def grid_max(S: np.ndarray, C: np.ndarray, m: int, pn: np.ndarray,
+             U: np.ndarray | None = None) -> np.ndarray:
+    """The extremal-density kernel: the grid-max normalized density
+    max_c |S_i c|^(2/m) / pn(c) per node i, shape (N,), for section values
+    ``S`` (N, M), distinct coefficient rows C (K, M) and their pseudonorms
+    ``pn`` (K,).  ``U`` holds the unit rows of S when they are at hand.
 
     The maximizing column also maximizes t_i(c) = |U_i c|^2 s(c), s = (min
     pn / pn)^m, a real bilinear form in the Gram features of U_i and of c.
@@ -421,15 +414,16 @@ def _normalized(z: np.ndarray, m: int, pn: np.ndarray | float) -> np.ndarray:
 class SectionSystem:
     """Frozen quadrature of a family system over all its half-annulus sides.
 
-    Every family is replicated on max(chain_length) charts, which hold the
-    same values: ``S`` holds one chart's scaled section values, one row per
+    The families share one tensor order m and one chain length l, or the
+    build raises ValueError; the l charts of the chain hold the same
+    values.  ``S`` holds one chart's scaled section values, one row per
     node and columns indexed like ``families``, and ``weights`` the
-    matching area weights times the chart count.  A ring (one s-node of
-    one side) whose rows deviate from its first row by at most eps times
-    its largest row in summed 2-norm is that first row carrying the ring's
-    summed weight (see ``_collapse_rings``).  ``tables`` holds the
-    families' side tables.  The grid is level 0 of ``_chart_grid``; its
-    envelope integral walks to level 1, with every ring kept, by
+    matching area weights times l.  A ring (one s-node of one side) whose
+    rows deviate from its first row by at most eps times its largest row
+    in summed 2-norm is that first row carrying the ring's summed weight
+    (see ``_collapse_rings``).  ``tables`` holds the families' side
+    tables.  The grid is level 0 of ``_chart_grid``; the envelope integral
+    of its squared row norms walks to level 1, with every ring kept, by
     ``_refine`` at 1e-6, and ``grid_error`` is the gap relative to level 1.
     Level 1 is computed from the side tables (``_table_norms``), not from
     a built grid.  A family that is zero on every node builds, but
@@ -443,6 +437,9 @@ class SectionSystem:
         m = families[0].m
         if any(f.m != m for f in families):
             raise ValueError("all families must share the same tensor order m")
+        n_charts = families[0].chain_length
+        if any(f.chain_length != n_charts for f in families):
+            raise ValueError("families must share one chain length")
         logt = float(logt)
         if not (math.isfinite(logt) and logt > 0.0):
             raise ValueError(f"logt must be finite and positive, got {logt!r}")
@@ -451,11 +448,12 @@ class SectionSystem:
         self.logt = logt
 
         self.tables = tables = [side_tables(f) for f in families]
-        n_charts = max(f.chain_length for f in families)
         self.S, self.weights = _collapse_rings(
             *_chart_grid(tables, n_charts, self.logt, 0), _N_ANGULAR)
         self._grid_pn: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        base = _envelope(self.S, self.weights, m)
+        # the row sums run as a product with ones, which is several times
+        # faster than sum(axis=1) over a few columns
+        base = _envelope((np.abs(self.S) ** 2) @ np.ones(len(families)), self.weights, m)
         # level 1 keeps every ring, so the check covers the merges too
         fine, gap = _refine(lambda level: base if level == 0 else _envelope(
             *_table_norms(tables, n_charts, self.logt, level), m), 1e-6, 1,
@@ -502,7 +500,7 @@ class SectionSystem:
 
     def tau_normalized(self, C: np.ndarray, pn_grid: np.ndarray) -> np.ndarray:
         """Grid-max normalized density max_c |S c|^(2/m) / pn(c) per node."""
-        return _grid_max(self.S, C, self.m, pn_grid, self.unit_rows[1])
+        return grid_max(self.S, C, self.m, pn_grid, self.unit_rows[1])
 
 
 def pseudonorm(combination, logt: float) -> float:
@@ -746,9 +744,6 @@ def region_tau_mass(families, logt: float, region: tuple[float, float],
     logt = 1e2 over (0.02, 0.2) the level-1 coefficient grid raises the
     mass by 9.4e-6 relative.
     """
-    families = tuple(families)
-    if len({fam.chain_length for fam in families}) > 1:
-        raise ValueError("families must share one chain length")
     a, b = region
     if not (0.0 <= a < b <= 1.0):
         raise ValueError("region must be a nondegenerate subinterval of [0, 1]")
@@ -768,7 +763,7 @@ def region_tau_mass(families, logt: float, region: tuple[float, float],
             fw = wu if f is None else wu * np.asarray(f(u), dtype=float)
             S, weights = _collapse_rings(_side_values(system.tables, side, logt, s, phi),
                                          np.repeat(fw, na) * (2.0 * np.pi / na), na)
-            total += float(grid_density(S, C, system.m, pn=pn_grid) @ weights) * logt
+            total += float(grid_max(S, C, system.m, pn_grid) @ weights) * logt
         return total
 
     return _refine(lambda k: piece(a, min(b, 0.5), 0, k) + piece(max(a, 0.5), b, 1, k),

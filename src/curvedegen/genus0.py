@@ -19,7 +19,8 @@ import cmath
 import math
 
 from ._lazy import np
-from .density import OptimizerSpec, _refine, coefficient_grid, gauss_panels, grid_density
+from .density import (OptimizerSpec, _refine, coefficient_grid, gauss_panels, grid_density,
+                      grid_max)
 from .errors import NumericalConvergenceError
 from .measures import Estimate
 
@@ -167,8 +168,7 @@ def _mass_pass(points, coeffs, m: int, d: int, level: int,
     V = np.concatenate([values for values, _ in nodes])
     W = np.concatenate([weights for _, weights in nodes])
     C = coefficient_grid(d + 1, optimizer, level)
-    pn = grid_density(V, C, m, weights=W)
-    return float(W @ grid_density(V, C, m, pn=pn))
+    return float(W @ grid_max(V, C, m, grid_density(V, C, m, W)))
 
 
 def ns_mass_genus0(points, coefficients, m: int,

@@ -11,6 +11,7 @@ function of s, and nothing ever overflows, even at log(1/|t|) = 1e4.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 from ._lazy import np
@@ -24,7 +25,8 @@ class LaurentFamily:
 
     ``chain_length`` says how many nodes the modeled section crosses with a
     full-order pole; experiments replicate the expansion on that many
-    charts.  The residue is c[(0, 0)].
+    charts.  The residue is c[(0, 0)].  A NaN or infinite coefficient
+    raises ValueError.
     """
 
     m: int
@@ -42,6 +44,8 @@ class LaurentFamily:
                 raise ValueError(f"exponents must be nonnegative, got ({a}, {b})")
             if (a, b) in seen:
                 raise ValueError(f"duplicate exponent pair ({a}, {b})")
+            if not cmath.isfinite(c):
+                raise ValueError(f"non-finite coefficient {c!r} at exponent pair ({a}, {b})")
             seen.add((a, b))
 
     @staticmethod

@@ -370,6 +370,17 @@ class TestVerify:
         assert err.startswith("error: ") and "finite" in err
         assert out == ""
 
+    @pytest.mark.parametrize("correction", ["nan", "inf"])
+    def test_non_finite_correction_refused(self, files, capsys, correction):
+        # a NaN correction once failed the build check (exit 3, best "nan")
+        argv = ["verify", "--experiment", "norm", "--model", files["dumbbell"],
+                "--correction", correction]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert err == (f"error: non-finite coefficient ({correction}+0j) "
+                       "at exponent pair (0, 1)\n")
+        assert out == ""
+
 
 class TestStartup:
     def test_import_loads_no_scipy(self):

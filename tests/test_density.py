@@ -11,6 +11,7 @@ from curvedegen.density import (
     SectionSystem,
     coefficient_grid,
     grid_density,
+    grid_max,
     ns_density,
     pairing_matrix,
     pb_density,
@@ -69,7 +70,7 @@ class TestKernel:
         pn = grid_density(S, C, m, weights=weights)
         np.testing.assert_allclose(pn, one_shot_density(S, C, m, weights=weights),
                                    rtol=1e-13, atol=0)
-        np.testing.assert_array_max_ulp(grid_density(S, C, m, pn=pn),
+        np.testing.assert_array_max_ulp(grid_max(S, C, m, pn),
                                         one_shot_density(S, C, m, pn=pn), maxulp=4)
 
     @staticmethod
@@ -77,7 +78,7 @@ class TestKernel:
         # the Gram-form pick must land on the grid maximum itself
         ref = np.concatenate([one_shot_density(S[a:a + 1024], C, m, pn=pn)
                               for a in range(0, len(S), 1024)])
-        np.testing.assert_array_max_ulp(grid_density(S, C, m, pn=pn), ref, maxulp=4)
+        np.testing.assert_array_max_ulp(grid_max(S, C, m, pn), ref, maxulp=4)
 
     # every pair of values of (m, logt, n_families) occurs once
     @pytest.mark.parametrize("m, logt, n_families", [
@@ -92,7 +93,7 @@ class TestKernel:
         self.assert_grid_max_exact(S, C, m, pn)
         # the system's cached unit rows give the same maximum
         tau = system.tau_normalized(C, pn)[::8]
-        np.testing.assert_array_max_ulp(tau, grid_density(S, C, m, pn=pn), maxulp=4)
+        np.testing.assert_array_max_ulp(tau, grid_max(S, C, m, pn), maxulp=4)
 
     @pytest.mark.parametrize("m", [2, 3, 12])
     @pytest.mark.parametrize("eps", [1e-6, 1e-10])
@@ -111,7 +112,7 @@ class TestKernel:
         S[500:600] = 0.0
         pn = grid_density(S[600:], C, m, weights=rng.uniform(0.1, 1.0, len(S) - 600))
         self.assert_grid_max_exact(S, C, m, pn)
-        assert np.all(grid_density(S, C, m, pn=pn)[500:600] == 0.0)
+        assert np.all(grid_max(S, C, m, pn)[500:600] == 0.0)
 
     @pytest.mark.parametrize("n_rows, n_cols", [(1, 3), (40, 1)])
     def test_one_row_or_one_family(self, n_rows, n_cols):
@@ -277,6 +278,23 @@ class TestRingCollapse:
         np.testing.assert_allclose(pairing_matrix(families, logt, system=system), A,
                                    rtol=1e-12, atol=1e-12 * scale)
 
+    @pytest.mark.parametrize("families", [
+        BENCH_PAIR, PERTURBED_PAIR, THREE_M3, FOUR_M3, large_m_families(12, 3),
+        large_m_families(8, 2), [LaurentFamily.pole(2, 2)],
+    ], ids=["bench", "perturbed", "three_m3", "four_m3", "m12x3", "m8x2", "pole_chain2"])
+    def test_collapsed_envelope_matches_every_node(self, families):
+        # the merges alone, apart from the resolution error that the build
+        # check's level 1 also sees: the collapsed level-0 grid integrates
+        # the envelope as every level-0 node does (worst gap 7.1e-15)
+        m = families[0].m
+        for logt in (12.0, 1e2, 1e3, 1e4):
+            system = SectionSystem(families, logt)
+            sq = (np.abs(system.S) ** 2) @ np.ones(len(families))
+            every = density._table_norms(system.tables, families[0].chain_length,
+                                         logt, 0)
+            assert density._envelope(sq, system.weights, m) == pytest.approx(
+                density._envelope(*every, m), rel=1e-13, abs=0)
+
     def test_threshold_splits_rings(self):
         # rows (1, d i): each row of a ring's last 63 deviates by d alone,
         # and the ring's largest row has norm 1; the summed deviation 63 d
@@ -436,7 +454,7 @@ class TestBuildCheck:
             ref = np.sum(np.abs(S) ** 2, axis=1)
             np.testing.assert_allclose(sq, ref, rtol=0, atol=1e-13 * ref.max())
             assert density._envelope(sq, weights, m) == pytest.approx(
-                density._envelope(S, weights, m), rel=1e-13, abs=0)
+                density._envelope(ref, weights, m), rel=1e-13, abs=0)
 
     def test_section_zero_on_a_level_one_node(self):
         # -x + w vanishes at level-1 node 111, phi = 0, where the expanded
@@ -444,7 +462,8 @@ class TestBuildCheck:
         s = density._chart_rule(100.0, 1, 1)[0]
         family = LaurentFamily.from_w_powers(2, {0: -math.exp(-s[111]), 1: 1.0})
         tables = [density.side_tables(family)]
-        ref = density._envelope(*density._chart_grid(tables, 1, 100.0, 1), 2)
+        S, weights = density._chart_grid(tables, 1, 100.0, 1)
+        ref = density._envelope(np.abs(S[:, 0]) ** 2, weights, 2)
         val = density._envelope(*density._table_norms(tables, 1, 100.0, 1), 2)
         assert val == pytest.approx(ref, rel=1e-13, abs=0)
         assert 1e-8 <= SectionSystem([family], 100.0).grid_error <= 2e-8
@@ -697,6 +716,20 @@ class TestRegionMass:
         fams = [LaurentFamily.pole(2), LaurentFamily.pole(2, chain_length=2)]
         with pytest.raises(ValueError):
             region_tau_mass(fams, 100.0, (0.2, 0.4))
+
+    @pytest.mark.parametrize("call", [
+        lambda fams: pseudonorm([(1.0, f) for f in fams], 100.0),
+        lambda fams: pairing_matrix(fams, 100.0),
+        lambda fams: ns_density(fams, 100.0, 0.3 + 0.1j),
+        lambda fams: pb_density(fams, 100.0, 0.3 + 0.1j),
+    ], ids=["pseudonorm", "pairing_matrix", "ns_density", "pb_density"])
+    def test_mixed_chain_lengths_refused_by_the_build(self, call):
+        # the build once put every family on the longest chain: pole(2)'s
+        # pseudonorm next to a chain-2 partner came out doubled
+        fams = [LaurentFamily.pole(2),
+                LaurentFamily.from_w_powers(2, {1: 1.0}, chain_length=2)]
+        with pytest.raises(ValueError, match="families must share one chain length"):
+            call(fams)
 
     def test_no_families_rejected(self):
         with pytest.raises(ValueError, match="at least one family"):

@@ -42,6 +42,15 @@ class TestLaurentFamily:
         with pytest.raises(ValueError):
             LaurentFamily.from_dict(2, {(-1, 0): 1.0})
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, complex(0.3, -math.inf)])
+    def test_non_finite_coefficient_rejected(self, c):
+        # a NaN coefficient once built a family whose build check failed
+        # with best = nan instead of naming the input
+        with pytest.raises(ValueError, match=r"non-finite .* exponent pair \(0, 1\)"):
+            LaurentFamily.from_w_powers(2, {0: 1.0, 1: c})
+        with pytest.raises(ValueError, match=r"non-finite .* exponent pair \(2, 0\)"):
+            LaurentFamily(3, (((2, 0), c),))
+
     def test_t_power_suppression(self):
         # an (alpha, beta) term carries t^alpha, so it dies as t -> 0
         fam = LaurentFamily.from_dict(2, {(1, 1): 1.0})
