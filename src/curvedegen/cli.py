@@ -178,13 +178,9 @@ def _cmd_verify(args) -> int:
     m = model.params.m
     l = len(chain.model_edges)
     logt_grid = tuple(float(x) for x in args.logt.split(","))
-    corr = args.correction
     opt = OptimizerSpec(seed=args.seed)
 
-    if corr != 0.0:
-        base = LaurentFamily.from_w_powers(m, {0: 1.0, 1: corr}, chain_length=l)
-    else:
-        base = LaurentFamily.pole(m, chain_length=l)
+    base = LaurentFamily.from_w_powers(m, {0: 1.0, 1: args.correction}, chain_length=l)
     if args.experiment == "norm":
         results = [norm_asymptotics_experiment(base, logt_grid)]
     else:

@@ -14,8 +14,12 @@ summed weight; see ``_collapse_rings`` for the bound on pn.  An l-chain is
 one chart whose weights carry the factor l.  Each build checks its grid
 against level 1 of the ladder through the envelope integral of (sum_j
 |S_j|^2)^(1/m).  Level 1 keeps every node, and its squared row norms come
-from the side tables (at each s a family is a short Fourier series in
+from the term tables (at each s a family is a short Fourier series in
 phi), so no level-1 grid is built.
+
+Each system holds one term table per chart side (``laurent.SideTerms``:
+every family's Laurent terms as arrays), built once.  The grids, the
+build check's squared norms and the values at a point w all read it.
 
 Numeric contract: pinned values hold to 1e-12 relative, and the summation
 order of every grid sum is free.
@@ -42,7 +46,7 @@ from dataclasses import dataclass
 
 from ._lazy import np
 from .errors import InternalConsistencyError, NumericalConvergenceError
-from .laurent import eval_table, fiber_value, side_tables
+from .laurent import side_terms, side_values
 
 __all__ = [
     "OptimizerSpec",
@@ -103,15 +107,6 @@ def gauss_panels(edges, order: int = _GL_ORDER) -> tuple[np.ndarray, np.ndarray]
     return (0.5 * (b - a) * xs + 0.5 * (a + b)).ravel(), (0.5 * (b - a) * ws).ravel()
 
 
-def _side_values(tables, side: int, logt: float, s: np.ndarray,
-                 phi: np.ndarray) -> np.ndarray:
-    """Values of every family on one side over the (s, phi) grid, (N, M)."""
-    S = np.zeros((len(s) * len(phi), len(tables)), dtype=complex)
-    for j, tab in enumerate(tables):
-        S[:, j] = eval_table(tab[side], logt, s, phi).reshape(-1)
-    return S
-
-
 def _chart_rule(logt: float, level: int,
                 n_charts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The level-``level`` nodes of one side of a chart: s-nodes of
@@ -130,23 +125,22 @@ def _chart_rule(logt: float, level: int,
     return s_nodes, phi, np.repeat(s_weights, na) * (2.0 * np.pi * n_charts / na)
 
 
-def _chart_grid(tables, n_charts: int, logt: float,
+def _chart_grid(terms, n_charts: int, logt: float,
                 level: int) -> tuple[np.ndarray, np.ndarray]:
     """Section values S (N, M) and area weights (N,) at the ``_chart_rule``
-    nodes of both sides of one chart carrying every family.  The
-    ``n_charts`` charts of a chain hold the same values, so the weights
-    carry the factor n_charts."""
+    nodes of both sides of one chart carrying every family, from the
+    (w side, z side) term tables ``terms``.  The ``n_charts`` charts of a
+    chain hold the same values, so the weights carry the factor n_charts."""
     s_nodes, phi, weights = _chart_rule(logt, level, n_charts)
-    sides = np.concatenate([_side_values(tables, side, logt, s_nodes, phi)
-                            for side in (0, 1)])
+    sides = np.concatenate([side_values(t, logt, s_nodes, phi) for t in terms])
     return sides, np.tile(weights, 2)
 
 
-def _side_norms(tables, logt: float, s: np.ndarray, phi: np.ndarray,
+def _side_norms(terms, logt: float, s: np.ndarray, phi: np.ndarray,
                 out: np.ndarray) -> None:
     """Write sum_j |S_j|^2 over the (s, phi) grid of one side into ``out``
-    (len(s), len(phi)), from the side tables ``tables`` (one per family)
-    without forming S.
+    (len(s), len(phi)), from the side's term table ``terms`` without
+    forming S.
 
     Term t of family j has the radial factor a_t(s) = c_t e^-(b_t L + k_t s)
     and the angular factor e^(i k_t phi), so sum_j |S_j|^2 = sum_D R_D(s)
@@ -159,14 +153,9 @@ def _side_norms(tables, logt: float, s: np.ndarray, phi: np.ndarray,
     rounding except where a family cancels far below its terms.
     Values rounded below zero are clamped to zero.
     """
-    coeff = np.array([c for tab in tables for c in tab.coeff], dtype=complex)
-    base = np.array([b for tab in tables for b in tab.base], dtype=float)
-    slope = np.array([k for tab in tables for k in tab.slope], dtype=float)
-    a = coeff * np.exp(-(base * logt + np.outer(s, slope)))
-    ends = np.cumsum([0] + [len(tab.coeff) for tab in tables])
-    pairs = [(t, u) for lo, hi in zip(ends[:-1], ends[1:])
-             for t in range(lo, hi) for u in range(lo, hi)]
-    t, u = np.array(pairs, dtype=int).reshape(-1, 2).T
+    slope = terms.slope
+    a = terms.coeff * np.exp(-(terms.base * logt + np.outer(s, slope)))
+    t, u = np.nonzero(terms.family[:, None] == terms.family[None, :])
     diffs, at = np.unique(slope[t] - slope[u], return_inverse=True)
     R = (a[:, t] * np.conj(a[:, u])) @ (at[:, None] == np.arange(len(diffs)))
     angle = np.outer(diffs, phi)
@@ -175,15 +164,15 @@ def _side_norms(tables, logt: float, s: np.ndarray, phi: np.ndarray,
     np.maximum(out, 0.0, out=out)
 
 
-def _table_norms(tables, n_charts: int, logt: float,
+def _table_norms(terms, n_charts: int, logt: float,
                  level: int) -> tuple[np.ndarray, np.ndarray]:
     """Squared row norms sum_j |S_j|^2 (N,) and area weights (N,) at the
-    nodes of ``_chart_grid(tables, n_charts, logt, level)``, taken from the
-    side tables (see ``_side_norms``) instead of a built grid."""
+    nodes of ``_chart_grid(terms, n_charts, logt, level)``, taken from the
+    term tables (see ``_side_norms``) instead of a built grid."""
     s_nodes, phi, weights = _chart_rule(logt, level, n_charts)
     sq = np.empty((2, len(s_nodes), len(phi)))
     for side in (0, 1):
-        _side_norms([tab[side] for tab in tables], logt, s_nodes, phi, sq[side])
+        _side_norms(terms[side], logt, s_nodes, phi, sq[side])
     return sq.reshape(-1), np.tile(weights, 2)
 
 
@@ -247,7 +236,7 @@ def _envelope(sq: np.ndarray, weights: np.ndarray, m: int) -> float:
     """Integral of (sum_j |S_j|^2)^(1/m), which dominates |S c|^(2/m) for
     every unit c, from the squared row norms ``sq`` (N,) and the weights
     (N,).  A build passes the squared norms of its level-0 grid, then the
-    level-1 ones that ``_table_norms`` computes from the side tables, so no
+    level-1 ones that ``_table_norms`` computes from the term tables, so no
     level-1 grid is built."""
     return float(weights @ sq ** (1.0 / m))
 
@@ -421,13 +410,14 @@ class SectionSystem:
     matching area weights times l.  A ring (one s-node of one side) whose
     rows deviate from its first row by at most eps times its largest row
     in summed 2-norm is that first row carrying the ring's summed weight
-    (see ``_collapse_rings``).  ``tables`` holds the families' side
-    tables.  The grid is level 0 of ``_chart_grid``; the envelope integral
-    of its squared row norms walks to level 1, with every ring kept, by
-    ``_refine`` at 1e-6, and ``grid_error`` is the gap relative to level 1.
-    Level 1 is computed from the side tables (``_table_norms``), not from
-    a built grid.  A family that is zero on every node builds, but
-    ``grid_pn`` refuses it.
+    (see ``_collapse_rings``).  ``terms`` holds the (w side, z side) term
+    tables of the families (``laurent.side_terms``), built once; the grid,
+    the build check and the point values all read them.  The grid is
+    level 0 of ``_chart_grid``; the envelope integral of its squared row
+    norms walks to level 1, with every ring kept, by ``_refine`` at 1e-6,
+    and ``grid_error`` is the gap relative to level 1.  Level 1 is computed
+    from the term tables (``_table_norms``), not from a built grid.  A
+    family that is zero on every node builds, but ``grid_pn`` refuses it.
     """
 
     def __init__(self, families, logt: float):
@@ -447,22 +437,35 @@ class SectionSystem:
         self.m = m
         self.logt = logt
 
-        self.tables = tables = [side_tables(f) for f in families]
+        self.terms = terms = (side_terms(families, 0), side_terms(families, 1))
         self.S, self.weights = _collapse_rings(
-            *_chart_grid(tables, n_charts, self.logt, 0), _N_ANGULAR)
+            *_chart_grid(terms, n_charts, self.logt, 0), _N_ANGULAR)
         self._grid_pn: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # the row sums run as a product with ones, which is several times
         # faster than sum(axis=1) over a few columns
         base = _envelope((np.abs(self.S) ** 2) @ np.ones(len(families)), self.weights, m)
         # level 1 keeps every ring, so the check covers the merges too
         fine, gap = _refine(lambda level: base if level == 0 else _envelope(
-            *_table_norms(tables, n_charts, self.logt, level), m), 1e-6, 1,
+            *_table_norms(terms, n_charts, self.logt, level), m), 1e-6, 1,
             "frozen quadrature grid failed its refinement check", logt=self.logt)
         self.grid_error = gap / max(abs(fine), 1e-300)
 
     @property
     def n_nodes(self) -> int:
         return self.S.shape[0]
+
+    def values_at(self, w: complex) -> np.ndarray:
+        """Each family's w^m * theta_t at a point w of the w side, (M,): the
+        terms of ``terms[0]`` in complex logarithms, c e^(-base L + slope
+        log w), summed in term order.  ``side_values`` at (s, phi) =
+        (-log|w|, arg w) rounds about an ulp apart, and the m >= 3 search,
+        which stops on its round cap, can turn that into 1e-7 of its value.
+        """
+        t = self.terms[0]
+        v = np.zeros(t.n_families, dtype=complex)
+        np.add.at(v, t.family,
+                  t.coeff * np.exp(-self.logt * t.base + t.slope * np.log(complex(w))))
+        return v
 
     def pn(self, coeffs) -> float:
         """Integral of |theta_c|^(2/m) over all sides for one coefficient row."""
@@ -621,7 +624,7 @@ def ns_density(families, logt: float, w: complex,
     system = _system_for(families, logt, system)
     m = system.m
     n = len(system.families)
-    v = np.array([fiber_value(f, logt, w) for f in system.families])
+    v = system.values_at(w)
     log_area = -2.0 * math.log(abs(complex(w)))
     grid, pn_grid = system.grid_pn(optimizer)
     if n == 1:
@@ -710,7 +713,7 @@ def pb_density(families, logt: float, w: complex,
     system = _system_for(families, logt, system)
     m = system.m
     A = pairing_matrix(families, logt, optimizer=optimizer, system=system)
-    v = np.array([fiber_value(f, logt, w) for f in system.families])
+    v = system.values_at(w)
     try:
         quad = float(np.real(np.conj(v) @ np.linalg.solve(A, v)))
     except np.linalg.LinAlgError:
@@ -761,7 +764,7 @@ def region_tau_mass(families, logt: float, region: tuple[float, float],
         for u, wu in zip(u_all.reshape(n_sub, -1), w_all.reshape(n_sub, -1)):
             s = u * logt if side == 0 else (1.0 - u) * logt
             fw = wu if f is None else wu * np.asarray(f(u), dtype=float)
-            S, weights = _collapse_rings(_side_values(system.tables, side, logt, s, phi),
+            S, weights = _collapse_rings(side_values(system.terms[side], logt, s, phi),
                                          np.repeat(fw, na) * (2.0 * np.pi / na), na)
             total += float(grid_max(S, C, system.m, pn_grid) @ weights) * logt
         return total

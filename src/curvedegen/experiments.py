@@ -153,7 +153,8 @@ def pairing_experiments(families, member: int = 0, pair: tuple[int, int] = (0, 1
     diag = _result("pairing-diag", grid, obs, ref, meta)
 
     j, k = pair
-    obs = [abs(A[j, k]) / float(np.sqrt(np.real(A[j, j]) * np.real(A[k, k])))
+    # one root per entry: their product overflows for large families
+    obs = [abs(A[j, k]) / float(np.sqrt(np.real(A[j, j])) * np.sqrt(np.real(A[k, k])))
            for A in mats]
     meta = {"m": families[0].m, "pair": pair, "n_families": len(families),
             "seed": opt.seed}

@@ -8,15 +8,23 @@ All numerics run in the coordinates s = log(1/|w|) in [0, log(1/|t|)/2]
 and the angle phi.  In these coordinates the m-th root density of the pure
 pole w^(-m) is exactly constant, every term's magnitude is exp of a linear
 function of s, and nothing ever overflows, even at log(1/|t|) = 1e4.
+
+A system of families is evaluated from one term table per chart side
+(``SideTerms``, built by ``side_terms``): the terms of every family as
+arrays of family index, t-adic exponent, slope and coefficient.
+``side_values`` evaluates a table on a grid of (s, phi).
 """
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ._lazy import np
 
-__all__ = ["LaurentFamily", "SideTable", "side_tables", "eval_table", "fiber_value"]
+__all__ = ["LaurentFamily", "SideTerms", "side_terms", "side_values"]
+
+# coefficients above this modulus are refused: squared, they overflow a float
+_MAX_COEFF = 1e150
 
 
 @dataclass(frozen=True)
@@ -26,7 +34,8 @@ class LaurentFamily:
     ``chain_length`` says how many nodes the modeled section crosses with a
     full-order pole; experiments replicate the expansion on that many
     charts.  The residue is c[(0, 0)].  A NaN or infinite coefficient
-    raises ValueError.
+    raises ValueError, and so does one above 1e150 in modulus: the grids
+    square section values, which would overflow.
     """
 
     m: int
@@ -46,6 +55,9 @@ class LaurentFamily:
                 raise ValueError(f"duplicate exponent pair ({a}, {b})")
             if not cmath.isfinite(c):
                 raise ValueError(f"non-finite coefficient {c!r} at exponent pair ({a}, {b})")
+            if abs(c) > _MAX_COEFF:
+                raise ValueError(f"coefficient {c!r} at exponent pair ({a}, {b}) exceeds "
+                                 f"{_MAX_COEFF:g} in modulus: its square overflows a float")
             seen.add((a, b))
 
     @staticmethod
@@ -80,53 +92,51 @@ class LaurentFamily:
                 max(b for (_, b), _ in self.coeffs))
 
 
-@dataclass(frozen=True)
-class SideTable:
-    """One side of a node chart, ready for evaluation in (s, phi).
+@dataclass(frozen=True, eq=False)
+class SideTerms:
+    """The Laurent terms of a family system on one side of a node chart,
+    one array entry per term, each family's terms together in its
+    coefficient order.
 
-    Term t contributes coeff[t] * exp(-(base[t]*L + slope[t]*s)) *
-    exp(1j*slope[t]*phi); base*L is the t-adic decay, slope the w-power
-    relative to the full pole.
+    Term t of family ``family[t]`` contributes coeff[t] * exp(-(base[t]*L
+    + slope[t]*s)) * exp(1j*slope[t]*phi); base*L is the t-adic decay,
+    slope the w-power relative to the full pole.  ``n_families`` counts
+    the families, termless ones included.
     """
 
-    base: tuple[int, ...]
-    slope: tuple[int, ...]
-    coeff: tuple[complex, ...]
+    n_families: int
+    family: np.ndarray
+    base: np.ndarray
+    slope: np.ndarray
+    coeff: np.ndarray
 
 
-def side_tables(family: LaurentFamily) -> tuple[SideTable, SideTable]:
-    """(w side, z side) evaluation tables; the z side swaps the exponents."""
-    wb, ws, wc = [], [], []
-    zb, zs, zc = [], [], []
-    for (a, b), c in family.coeffs:
-        wb.append(a)
-        ws.append(b - a)
-        wc.append(c)
-        zb.append(b)
-        zs.append(a - b)
-        zc.append(c)
-    return (SideTable(tuple(wb), tuple(ws), tuple(wc)),
-            SideTable(tuple(zb), tuple(zs), tuple(zc)))
+def side_terms(families, side: int) -> SideTerms:
+    """The term table of a sequence of families on side 0 (w) or 1 (z);
+    the z side swaps the exponents."""
+    family, base, slope, coeff = [], [], [], []
+    for j, f in enumerate(families):
+        for (a, b), c in f.coeffs:
+            p, q = (a, b) if side == 0 else (b, a)
+            family.append(j)
+            base.append(p)
+            slope.append(q - p)
+            coeff.append(c)
+    return SideTerms(len(families), np.array(family, dtype=int),
+                     np.array(base, dtype=float), np.array(slope, dtype=float),
+                     np.array(coeff, dtype=complex))
 
 
-def eval_table(table: SideTable, logt: float, s: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Values of w^m * theta_t on a (s, phi) grid, shape (len(s), len(phi)).
+def side_values(terms: SideTerms, logt: float, s: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Values of w^m * theta_t of every family on a (s, phi) grid, s-major,
+    shape (len(s) * len(phi), n_families).
 
     Magnitudes are exp of -(base*L + slope*s), which is <= 0 on the half
     annulus, so underflow is the only rounding event and it is benign.
     """
-    out = np.zeros((len(s), len(phi)), dtype=complex)
-    for base, slope, coeff in zip(table.base, table.slope, table.coeff):
+    out = np.zeros((len(s), len(phi), terms.n_families), dtype=complex)
+    for j, base, slope, coeff in zip(terms.family, terms.base, terms.slope, terms.coeff):
         radial = np.exp(-(base * logt + slope * s))
         angular = np.exp(1j * slope * phi)
-        out += coeff * np.outer(radial, angular)
-    return out
-
-
-def fiber_value(family: LaurentFamily, logt: float, w: complex) -> complex:
-    """Value of w^m * theta_t at a representable point w of the w side."""
-    logw = np.log(complex(w))
-    out = 0.0 + 0.0j
-    for (a, b), c in family.coeffs:
-        out += c * np.exp(-logt * a + (b - a) * logw)
-    return complex(out)
+        out[:, :, j] += coeff * np.outer(radial, angular)
+    return out.reshape(-1, terms.n_families)

@@ -381,6 +381,18 @@ class TestVerify:
                        "at exponent pair (0, 1)\n")
         assert out == ""
 
+    @pytest.mark.parametrize("correction", ["1e154", "1e160"])
+    def test_overflowing_correction_refused(self, files, capsys, correction):
+        # 1e160 once failed the build check (exit 3) and 1e154 warned of an
+        # overflow in the ring merge: squared, such coefficients overflow
+        argv = ["verify", "--experiment", "norm", "--model", files["dumbbell"],
+                "--correction", correction, "--logt", "100,1000"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert err == (f"error: coefficient ({float(correction)!r}+0j) at exponent pair "
+                       "(0, 1) exceeds 1e+150 in modulus: its square overflows a float\n")
+        assert out == ""
+
 
 class TestStartup:
     def test_import_loads_no_scipy(self):

@@ -19,7 +19,9 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_demo_runs(script, tmp_path):
     src = Path(curvedegen.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    run = subprocess.run([sys.executable, str(ROOT / "demos" / script)], env=env,
-                         cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    # pyproject's filterwarnings do not reach a subprocess: ask for them here
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                          "-W", "error::DeprecationWarning", str(ROOT / "demos" / script)],
+                         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip()

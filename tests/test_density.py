@@ -231,9 +231,9 @@ class TestKernel:
     def test_chart_grid_levels(self, logt, rows):
         # level 1 halves the panel length and doubles the angular nodes:
         # rows = 2 sides x panels x 32 nodes x (64 << level) angles
-        tables = SectionSystem(BENCH_PAIR, logt).tables
+        terms = SectionSystem(BENCH_PAIR, logt).terms
         for level, n in enumerate(rows):
-            S, weights = density._chart_grid(tables, 1, logt, level)
+            S, weights = density._chart_grid(terms, 1, logt, level)
             assert S.shape == (n, 2) and weights.shape == (n,)
 
     def test_legendre_rule_cached_read_only(self):
@@ -250,7 +250,7 @@ PERTURBED_PAIR = [perturbed_pole(), LaurentFamily.from_w_powers(2, {1: 1.0})]
 def full_grid(system):
     """The system's grid with every ring kept: one row per node."""
     n_charts = max(f.chain_length for f in system.families)
-    return density._chart_grid(system.tables, n_charts, system.logt, 0)
+    return density._chart_grid(system.terms, n_charts, system.logt, 0)
 
 
 class TestRingCollapse:
@@ -290,7 +290,7 @@ class TestRingCollapse:
         for logt in (12.0, 1e2, 1e3, 1e4):
             system = SectionSystem(families, logt)
             sq = (np.abs(system.S) ** 2) @ np.ones(len(families))
-            every = density._table_norms(system.tables, families[0].chain_length,
+            every = density._table_norms(system.terms, families[0].chain_length,
                                          logt, 0)
             assert density._envelope(sq, system.weights, m) == pytest.approx(
                 density._envelope(*every, m), rel=1e-13, abs=0)
@@ -442,14 +442,14 @@ class TestBuildCheck:
     ], ids=["bench", "perturbed", "three_m3", "four_m3", "pole_chain2", "m8x2", "m8x3",
             "m12x3", "m12x2", "cancel_m2", "cancel_m12"])
     def test_table_envelope_matches_built_grid(self, families):
-        # the level-1 check reads the squared row norms from the side
+        # the level-1 check reads the squared row norms from the term
         # tables; the built level-1 grid is the reference
-        tables = [density.side_tables(f) for f in families]
+        terms = (density.side_terms(families, 0), density.side_terms(families, 1))
         n_charts = max(f.chain_length for f in families)
         m = families[0].m
         for logt in (12.0, 1e2, 1e3, 1e4):
-            S, weights = density._chart_grid(tables, n_charts, logt, 1)
-            sq, table_weights = density._table_norms(tables, n_charts, logt, 1)
+            S, weights = density._chart_grid(terms, n_charts, logt, 1)
+            sq, table_weights = density._table_norms(terms, n_charts, logt, 1)
             assert np.array_equal(table_weights, weights)
             ref = np.sum(np.abs(S) ** 2, axis=1)
             np.testing.assert_allclose(sq, ref, rtol=0, atol=1e-13 * ref.max())
@@ -461,10 +461,10 @@ class TestBuildCheck:
         # squared norm rounds to -6.6e-24: it must count as 0, not as NaN
         s = density._chart_rule(100.0, 1, 1)[0]
         family = LaurentFamily.from_w_powers(2, {0: -math.exp(-s[111]), 1: 1.0})
-        tables = [density.side_tables(family)]
-        S, weights = density._chart_grid(tables, 1, 100.0, 1)
+        terms = (density.side_terms([family], 0), density.side_terms([family], 1))
+        S, weights = density._chart_grid(terms, 1, 100.0, 1)
         ref = density._envelope(np.abs(S[:, 0]) ** 2, weights, 2)
-        val = density._envelope(*density._table_norms(tables, 1, 100.0, 1), 2)
+        val = density._envelope(*density._table_norms(terms, 1, 100.0, 1), 2)
         assert val == pytest.approx(ref, rel=1e-13, abs=0)
         assert 1e-8 <= SectionSystem([family], 100.0).grid_error <= 2e-8
 

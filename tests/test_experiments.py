@@ -69,6 +69,13 @@ class TestPairingExperiments:
         assert res.reference == (0.0, 0.0)
         assert res.rel_errors == res.observed
 
+    def test_offdiag_is_scale_invariant(self, pairing_sweep):
+        # A_jj A_kk overflows for families scaled by 1e100: the normalized
+        # cross term once read 0 there
+        big = [LaurentFamily.from_dict(2, {k: 1e100 * c for k, c in f.coeffs}) for f in PAIR]
+        res = pairing_experiments(big, logt_grid=SHORT_GRID)[1]
+        np.testing.assert_allclose(res.observed, pairing_sweep[1].observed, rtol=1e-12)
+
 
 class TestRegionExperiment:
     def test_uniform_weight_limit(self):
