@@ -171,13 +171,26 @@ def _pick_chain(graph: StableDualGraph, chain_id: str | None):
     raise ParseError(f"no chain named {chain_id!r}; have {[c.id for c in chains]}")
 
 
+def _numbers(option: str, text: str, count: int | None = None) -> tuple[float, ...]:
+    """The comma-separated numbers given to ``option``, exactly ``count``
+    of them if it is given; ParseError names the option otherwise."""
+    try:
+        values = tuple(float(x) for x in text.split(","))
+    except ValueError:
+        values = ()
+    if not values or (count is not None and len(values) != count):
+        what = "two comma-separated numbers a,b" if count == 2 else "comma-separated numbers"
+        raise ParseError(f"{option} takes {what}; got {text!r}")
+    return values
+
+
 def _cmd_verify(args) -> int:
     model = _load(args.file)
     graph = stable_dual_graph(model)
     chain = _pick_chain(graph, args.chain)
     m = model.params.m
     l = len(chain.model_edges)
-    logt_grid = tuple(float(x) for x in args.logt.split(","))
+    logt_grid = _numbers("--logt", args.logt)
     opt = OptimizerSpec(seed=args.seed)
 
     base = LaurentFamily.from_w_powers(m, {0: 1.0, 1: args.correction}, chain_length=l)
@@ -189,8 +202,8 @@ def _cmd_verify(args) -> int:
                              f"chain; {chain.id} crosses {l} nodes")
         second = LaurentFamily.from_w_powers(m, {1: 1.0})
         if args.experiment == "region-mass":
-            a, b = (float(x) for x in args.region.split(","))
-            results = [region_mass_experiment([base, second], (a, b),
+            results = [region_mass_experiment([base, second],
+                                              _numbers("--region", args.region, 2),
                                               logt_grid=logt_grid, optimizer=opt)]
         else:
             # bare "pairing" reports the diagonal growth and the cross-term decay

@@ -37,6 +37,14 @@ makes them distinct.  In ``grid_max`` a real Gram form picks the
 maximizing column, a bound on its rounding certifies the pick, and the
 value is read from S C^T, so the maximum is always attained by a grid
 combination.
+
+``ns_density`` needs only the top two rows of its coefficient grid, so on a
+system whose grid pseudonorms are not yet scored it bounds them instead
+(``_grid_scores``): partial sums over the heaviest nodes and a quadratic
+form over the rest bound each pn(c) below, a Hoelder bound on the rest
+bounds it above, both are widened by their rounding, and a row whose best
+case falls below the second-best worst case cannot be in the top two.
+Only the rows left get exact pseudonorms.
 """
 from __future__ import annotations
 
@@ -80,6 +88,7 @@ _POLISH_STOP = 1e-9    # the compass search ends once its step falls below this
 _POLISH_ROUNDS = 200   # majorization steps per start, and compass steps per call
 _ROW_FLOOR = 1e-8      # majorizer weights floor |S_i c| at this fraction of |S_i|
 _MERGE_RADIUS = 0.1    # starts this fraction of their step off a better one are dropped
+_FIRST_CHUNK = 6       # the grid stage of ns_density first sums the top N >> 6 nodes
 
 
 @dataclass(frozen=True)
@@ -313,8 +322,16 @@ def grid_density(S: np.ndarray, C: np.ndarray, m: int,
 
 def _unit_rows(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row norms of S, floored at the smallest normal float, and S scaled
-    by them: unit rows, with all-zero rows left zero."""
-    norms = np.maximum(np.linalg.norm(S, axis=1), np.finfo(float).tiny)
+    by them: unit rows, with all-zero rows left zero.  A row whose squared
+    norm would underflow (norm below 1e-150) is scaled by its largest entry
+    before its norm is taken, so no row comes out longer than 1."""
+    tiny = np.finfo(float).tiny
+    norms = np.linalg.norm(S, axis=1)
+    small = np.flatnonzero(norms < 1e-150)
+    if small.size:
+        top = np.maximum(np.abs(S[small]).max(axis=1), tiny)
+        norms[small] = top * np.linalg.norm(S[small] / top[:, None], axis=1)
+    norms = np.maximum(norms, tiny)
     return norms, S / norms[:, None]
 
 
@@ -417,7 +434,7 @@ class SectionSystem:
     norms walks to level 1, with every ring kept, by ``_refine`` at 1e-6,
     and ``grid_error`` is the gap relative to level 1.  Level 1 is computed
     from the term tables (``_table_norms``), not from a built grid.  A
-    family that is zero on every node builds, but ``grid_pn`` refuses it.
+    family that is zero on every node builds, but ``grid`` refuses it.
     """
 
     def __init__(self, families, logt: float):
@@ -440,7 +457,7 @@ class SectionSystem:
         self.terms = terms = (side_terms(families, 0), side_terms(families, 1))
         self.S, self.weights = _collapse_rings(
             *_chart_grid(terms, n_charts, self.logt, 0), _N_ANGULAR)
-        self._grid_pn: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._grids: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
         # the row sums run as a product with ones, which is several times
         # faster than sum(axis=1) over a few columns
         base = _envelope((np.abs(self.S) ** 2) @ np.ones(len(families)), self.weights, m)
@@ -476,23 +493,34 @@ class SectionSystem:
         """Same integral for every row of a (K, M) coefficient grid."""
         return grid_density(self.S, grid, self.m, weights=self.weights)
 
-    def grid_pn(self, optimizer: OptimizerSpec | None = None
-                ) -> tuple[np.ndarray, np.ndarray]:
-        """The coefficient grid and its pseudonorms, read-only and scored
-        once per optimizer seed.  The grid holds the exact axes, so a family
-        that is zero on every node would score pn = 0 and divide by it:
-        such a family raises ValueError instead."""
+    def grid(self, optimizer: OptimizerSpec | None = None
+             ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The coefficient grid, read-only and made once per optimizer
+        seed, and its pseudonorms once ``grid_pn`` has scored them (else
+        None).  The grid holds the exact axes, so a family that is zero on
+        every node would score pn = 0 and divide by it: such a family
+        raises ValueError instead."""
         seed = (optimizer or OptimizerSpec()).seed
-        if seed not in self._grid_pn:
+        if seed not in self._grids:
             zero = np.flatnonzero(~self.S.any(axis=0))
             if zero.size:
                 raise ValueError(f"family {zero[0]} is zero on every node: "
                                  "its pseudonorm is 0")
             C = coefficient_grid(len(self.families), optimizer)
+            C.flags.writeable = False
+            self._grids[seed] = (C, None)
+        return self._grids[seed]
+
+    def grid_pn(self, optimizer: OptimizerSpec | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """The coefficient grid and its pseudonorms, read-only and scored
+        once per optimizer seed (see ``grid``)."""
+        C, pn_grid = self.grid(optimizer)
+        if pn_grid is None:
             pn_grid = self.pn_batch(C)
-            C.flags.writeable = pn_grid.flags.writeable = False
-            self._grid_pn[seed] = (C, pn_grid)
-        return self._grid_pn[seed]
+            pn_grid.flags.writeable = False
+            self._grids[(optimizer or OptimizerSpec()).seed] = (C, pn_grid)
+        return C, pn_grid
 
     @functools.cached_property
     def unit_rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -500,6 +528,15 @@ class SectionSystem:
         norms, U = _unit_rows(self.S)
         norms.flags.writeable = U.flags.writeable = False
         return norms, U
+
+    @functools.cached_property
+    def unit_weights(self) -> np.ndarray:
+        """b_i = w_i |S_i|^(2/m), read-only: pn(c) = b @ |U c|^(2/m) over
+        the unit rows U, so b_i is the most node i adds to pn(c) for a
+        unit c."""
+        b = self.weights * self.unit_rows[0] ** (2.0 / self.m)
+        b.flags.writeable = False
+        return b
 
     def tau_normalized(self, C: np.ndarray, pn_grid: np.ndarray) -> np.ndarray:
         """Grid-max normalized density max_c |S c|^(2/m) / pn(c) per node."""
@@ -518,6 +555,88 @@ def pseudonorm(combination, logt: float) -> float:
     return system.pn(coeffs) ** (system.m / 2.0)
 
 
+def _pn_bounds(system: SectionSystem, C: np.ndarray, part: np.ndarray,
+               rest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds (lo, hi) on pn(c) for the unit rows c of C (K, M), where
+    ``part`` (K,) holds their ``grid_density`` sums over every node but the
+    nodes ``rest``.
+
+    With b the ``unit_weights`` and U the unit rows, the nodes in ``rest``
+    add sum b_i t_i^(1/m), t_i = |U_i c|^2 <= 1, and G = U^H diag(b) U over
+    ``rest`` gives sum b_i t_i = c^H G c.  Hoelder's inequality bounds the
+    rest above by (sum b_i)^(1-1/m) (c^H G c)^(1/m), and t^(1/m) >= t below
+    by c^H G c.  Unit rows keep G finite for tiny or huge families.
+
+    Both bounds hold for pn as ``grid_density`` rounds it, in any summation
+    order: fl(S_i c) lies within 2 (M + 2) eps |S_i| of S_i c, and ||x|^p -
+    |y|^p| <= |x - y|^p for p = 2/m <= 1, so a node's term rounds to within
+    gamma_n (Higham, Accuracy and Stability, 3.1) of itself plus (2 (M + 2)
+    eps)^p b_i; the computed c^H G c lies within gamma (|c|^T |G| |c| + sum
+    b_i) of the exact one.  They hold while the terms stay above the float
+    underflow threshold.
+    """
+    M, p = C.shape[1], 2.0 / system.m
+    eps = np.finfo(float).eps
+    gamma = (len(system.unit_weights) + M * M + 9) * eps
+    floor = 3.0 * (2 * (M + 2) * eps) ** p * system.unit_weights.sum()
+    U, b = system.unit_rows[1][rest], system.unit_weights[rest]
+    total = b.sum()
+    G = (U.conj().T * b) @ U
+    q = ((C.conj() @ G) * C).sum(axis=1).real
+    slack = gamma * (((np.abs(C) @ np.abs(G)) * np.abs(C)).sum(axis=1) + total)
+    tail = ((total * (1.0 + gamma)) ** (1.0 - p / 2.0)
+            * np.maximum(q + slack, 0.0) ** (p / 2.0))
+    lo = (part + np.maximum(q - slack, 0.0)) * (1.0 - 3.0 * gamma) - floor
+    return lo, (part + tail) * (1.0 + 3.0 * gamma) + floor
+
+
+def _grid_scores(system: SectionSystem, C: np.ndarray, pn_grid: np.ndarray | None,
+                 v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The grid stage of ``ns_density``: (rows, scores), the rows of the
+    coefficient grid ``C`` that can reach its top two scores (2/m) log|c.v|
+    - log pn(c), and their scores.  ``pn_grid`` holds the grid's
+    pseudonorms if they are already scored: then every row is summed, and
+    every row is kept.
+
+    Otherwise the stage sums the nodes by descending ``unit_weights``, the
+    top N / 64 first, then doubling the summed count up to N / 2.  After
+    each chunk ``_pn_bounds`` bounds pn(c) of every live row, and a row
+    whose upper score (from lo) falls below the second-best lower score
+    (from hi) is dropped: two rows score above it.  Pruning stops once a
+    chunk drops fewer than half the live rows, and one ``pn_batch`` call
+    scores the rows left.  The scores are those of the full grid pass, row
+    for row, up to the summation order of pn.
+    """
+    with np.errstate(divide="ignore"):
+        log_amp = (2.0 / system.m) * np.log(np.abs(C @ v))
+    rows = np.arange(len(C))
+    if pn_grid is None:
+        order = np.argsort(-system.unit_weights, kind="stable")
+        part = np.zeros(len(C))
+        done = 0
+        for shift in range(_FIRST_CHUNK, 0, -1):
+            end = len(order) >> shift
+            if end <= done:
+                continue
+            nodes = order[done:end]
+            part += grid_density(system.S[nodes], C[rows], system.m,
+                                 system.weights[nodes])
+            done = end
+            lo, hi = _pn_bounds(system, C[rows], part, order[done:])
+            # lo <= 0 reads as an upper score of +inf, or NaN where c.v = 0:
+            # either keeps the row
+            with np.errstate(divide="ignore", invalid="ignore"):
+                upper = log_amp[rows] - np.log(lo)
+            lower = log_amp[rows] - np.log(hi)
+            keep = ~(upper < np.partition(lower, -2)[-2])
+            rows, part = rows[keep], part[keep]
+            if 2 * len(rows) > len(keep) or len(rows) <= 2:
+                break
+        pn_grid = system.pn_batch(C[rows])
+    with np.errstate(divide="ignore"):
+        return rows, log_amp[rows] - np.log(pn_grid)
+
+
 def _majorize(system: SectionSystem, v: np.ndarray, starts, scores,
               log_density) -> tuple[np.ndarray, np.ndarray]:
     """Majorize-minimize ascents from unit rows ``starts``: the starts, then
@@ -528,8 +647,8 @@ def _majorize(system: SectionSystem, v: np.ndarray, starts, scores,
     steps stall.
     """
     p = 2.0 / system.m
-    norms, U = system.unit_rows  # unit rows keep the weights finite
-    base = system.weights * norms ** p
+    U = system.unit_rows[1]  # unit rows keep the weights finite
+    base = system.unit_weights
     rows, vals = list(starts), list(scores)
     for c, h0 in zip(starts, scores):
         h = h0
@@ -608,7 +727,11 @@ def ns_density(families, logt: float, w: complex,
 
     The search runs majorize-minimize steps from the two best points of
     the coefficient grid, then a compass search from them and from each
-    majorization end that moved, each round in one ``pn_batch`` call.
+    majorization end that moved, each round in one ``pn_batch`` call.  The
+    two best points are exact: unless the system already holds the grid's
+    pseudonorms (``pb_density`` scores them first), ``_grid_scores`` drops
+    only rows that two others provably outscore, from rounding-safe bounds
+    on pn, and scores the rest exactly.
     Each round first orders the live starts by score and drops each whose
     line lies within a tenth of its own step of a better kept start's
     line, 1 - |<a, b>|^2 < (delta / 10)^2, so starts that meet on one line
@@ -626,21 +749,20 @@ def ns_density(families, logt: float, w: complex,
     n = len(system.families)
     v = system.values_at(w)
     log_area = -2.0 * math.log(abs(complex(w)))
-    grid, pn_grid = system.grid_pn(optimizer)
     if n == 1:
+        pn_one = system.grid_pn(optimizer)[1][0]
         val = abs(v[0])
         if val == 0.0:
             return 0.0
         return _density_at(w, (2.0 / m) * math.log(val) + log_area
-                           - math.log(pn_grid[0]))
+                           - math.log(pn_one))
 
-    def log_density(C: np.ndarray, pn_c: np.ndarray | None = None) -> np.ndarray:
-        amps = np.abs(C @ v)
+    def log_density(C: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
-            return (2.0 / m) * np.log(amps) - np.log(
-                system.pn_batch(C) if pn_c is None else pn_c)
+            return (2.0 / m) * np.log(np.abs(C @ v)) - np.log(system.pn_batch(C))
 
-    scores = log_density(grid, pn_grid)
+    grid, pn_grid = system.grid(optimizer)
+    rows, scores = _grid_scores(system, grid, pn_grid, v)
     order = np.argsort(scores)[::-1]
     if not math.isfinite(scores[order[0]]):
         raise NumericalConvergenceError(
@@ -649,7 +771,8 @@ def ns_density(families, logt: float, w: complex,
 
     # compass steps from the grid points and from the majorization ends
     # that moved off them: each alone misses maxima the other finds
-    c, h = _majorize(system, v, grid[order[:2]], scores[order[:2]], log_density)
+    c, h = _majorize(system, v, grid[rows[order[:2]]], scores[order[:2]],
+                    log_density)
     moves = np.concatenate([z * np.eye(n) for z in (1.0, -1.0, 1j, -1j)])
     step = np.full(len(c), _POLISH_START)
     live = np.arange(len(c))

@@ -359,6 +359,21 @@ class TestVerify:
         assert main(argv) == 1
         assert "increasing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, text, expected", [
+        # these once printed the bare unpacking or float() message
+        ("--region", "0.2", "--region takes two comma-separated numbers a,b; got '0.2'"),
+        ("--region", "0.2,0.3,0.5",
+         "--region takes two comma-separated numbers a,b; got '0.2,0.3,0.5'"),
+        ("--logt", "100,abc", "--logt takes comma-separated numbers; got '100,abc'"),
+    ])
+    def test_malformed_option_named(self, files, capsys, option, text, expected):
+        argv = ["verify", "--experiment", "region-mass", "--model", files["dumbbell"],
+                "--logt", "100", option, text]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert err == f"error: {expected}\n"
+        assert out == ""
+
     @pytest.mark.parametrize("experiment", ["norm", "pairing"])
     @pytest.mark.parametrize("depths", ["100,inf", "nan,100"])
     def test_non_finite_depth_refused(self, files, capsys, experiment, depths):

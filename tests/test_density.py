@@ -1,4 +1,5 @@
 """Pseudonorms, Narasimhan-Simha pairing, extremal and matrix densities."""
+import dataclasses
 import math
 import tracemalloc
 
@@ -141,6 +142,17 @@ class TestKernel:
         finally:
             tracemalloc.stop()
 
+    def test_unit_rows_of_tiny_rows(self):
+        # a row below 1e-154 once squared to a subnormal or zero norm, was
+        # floored at the smallest normal float and came out 6e147 long
+        S = np.array([[1e-160, 1e-160j], [3e-170, 0.0], [1e-320, 0.0], [0.0, 0.0],
+                      [3.0, 4.0j]])
+        norms, U = density._unit_rows(S)
+        lengths = np.linalg.norm(U, axis=1)
+        np.testing.assert_allclose(lengths[[0, 1, 4]], 1.0, rtol=1e-15)
+        assert lengths[2] <= 1.0 and lengths[3] == 0.0
+        np.testing.assert_allclose(norms[:2], [math.sqrt(2) * 1e-160, 3e-170], rtol=1e-15)
+
     def test_grid_scored_once_per_system(self, monkeypatch):
         grid_rows = len(coefficient_grid(2))
         scored = []
@@ -157,13 +169,32 @@ class TestKernel:
         monkeypatch.setattr(SectionSystem, "pn_batch", counted)
         value = pb_density(BENCH_PAIR, 1000.0, 0.3 + 0.1j)
         assert scored.count(grid_rows) == 1
-        # scoring the grid afresh for each reader, as before, changes no bit
+        # scoring the grid afresh for each reader of grid_pn: only the
+        # pairing matrix reads it, and ns_density bounds the grid instead
         scored.clear()
         monkeypatch.setattr(SectionSystem, "grid_pn", fresh)
-        assert pb_density(BENCH_PAIR, 1000.0, 0.3 + 0.1j) == value
-        assert scored.count(grid_rows) == 2
+        assert pb_density(BENCH_PAIR, 1000.0, 0.3 + 0.1j) == pytest.approx(value, rel=1e-13)
+        assert scored.count(grid_rows) == 1
         assert value == pytest.approx(0.5035471076097511, rel=1e-12)
 
+    def test_grid_stage_passes_a_tenth_of_the_grid(self, monkeypatch):
+        # a fresh system's grid stage sums bounds over few nodes and scores
+        # only the rows that can reach the top two: 994 x 17,210 products
+        # once went into the grid's exact pseudonorms.  The compass's
+        # neighbours are not grid rows, so they do not count here.
+        system = SectionSystem(BENCH_PAIR, 1000.0)
+        grid = {tuple(c) for c in coefficient_grid(2)}
+        kernel = density.grid_density
+        products = []
+
+        def counted(S, C, m, weights):
+            if all(tuple(c) in grid for c in C):
+                products.append(len(S) * len(C))
+            return kernel(S, C, m, weights)
+
+        monkeypatch.setattr(density, "grid_density", counted)
+        ns_density(BENCH_PAIR, 1000.0, 0.3 + 0.1j, system=system)
+        assert 0 < sum(products) < 0.1 * system.n_nodes * len(grid)
 
     @pytest.mark.parametrize("args, n_rows", [((2,), 994), ((2, None, 1), 4034)])
     def test_coefficient_grid_rows_distinct(self, args, n_rows):
@@ -178,7 +209,8 @@ class TestKernel:
         assert overlap.max() < 1.0 - 1e-6
 
     def test_search_scores_distinct_rows(self, monkeypatch):
-        # no pn_batch call of the search, the grid's included, repeats a row
+        # no pn_batch call of the search, the grid stage's included, repeats
+        # a row; the stage scores only the rows it could not rule out
         batch = SectionSystem.pn_batch
         calls = []
 
@@ -189,7 +221,7 @@ class TestKernel:
 
         monkeypatch.setattr(SectionSystem, "pn_batch", checked)
         ns_density(BENCH_PAIR, 1000.0, 0.3 + 0.1j)
-        assert calls[0] == len(coefficient_grid(2)) and len(calls) > 1
+        assert 2 <= calls[0] < len(coefficient_grid(2)) and len(calls) > 1
 
     @pytest.mark.parametrize("w", [0.05j, 0.3 + 0.1j, 0.7])
     def test_search_calls_bounded(self, monkeypatch, w):
@@ -608,6 +640,30 @@ class TestNSDensity:
         # that the polish replaced (0.46341650751854213, 0.20995506088207866,
         # 5.814800190658801 and 0.2783635399550887), so it keeps those too.
         assert ns_density(families, 100.0, w) >= before * (1 - 1e-12)
+
+    @pytest.mark.parametrize("logt", [12.0, 1000.0])
+    @pytest.mark.parametrize("w", [0.3 + 0.1j, 0.05j])
+    @pytest.mark.parametrize("families", [
+        [LaurentFamily.pole(2)] * 2,
+        [LaurentFamily.from_w_powers(2, {1: 1.0}), LaurentFamily.from_w_powers(2, {1: 2.0})],
+    ], ids=["pole-pole", "w-2w"])
+    def test_dependent_pair_matches_one_family(self, families, w, logt):
+        # the grid holds rows whose pn is rounding alone and rows with
+        # c.v ~ 0: the grid stage's bounds must keep such rows where needed
+        one = ns_density(families[:1], logt, w)
+        assert ns_density(families, logt, w) == pytest.approx(one, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e140, 1e-140])
+    @pytest.mark.parametrize("families", [BENCH_PAIR, PERTURBED_PAIR],
+                             ids=["bench", "perturbed"])
+    def test_scaled_pair_unchanged(self, families, scale):
+        # normalized densities ignore a common scale; the grid stage's
+        # bounds work on unit rows, so neither scale overflows nor
+        # underflows them (pytest turns a RuntimeWarning into an error)
+        scaled = [dataclasses.replace(f, coeffs=tuple((e, c * scale) for e, c in f.coeffs))
+                  for f in families]
+        assert ns_density(scaled, 1000.0, 0.3 + 0.1j) == pytest.approx(
+            ns_density(families, 1000.0, 0.3 + 0.1j), rel=1e-12)
 
     def test_two_member_value_unchanged(self):
         d = ns_density(EXACT_PAIR, 1000.0, 0.2 + 0.2j)

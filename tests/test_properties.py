@@ -1,19 +1,28 @@
-"""Properties of the exact pipeline over generated models (hypothesis).
+"""Properties of the exact pipeline over generated models (hypothesis), and
+of the bounded grid stage of ``ns_density`` over generated section systems.
 
 Models come from the seeded generators in ``corpus``; hypothesis draws the
 seeds and the extra structure (tails, relabelings, perturbations, blowup
 chains).  The step-by-step contraction loop and the brute-force canonical
-form in ``naive`` serve as oracles.  Runs are derandomized, so every run
-checks the same examples.
+form in ``naive`` serve as oracles; the grid stage is checked against the
+full grid of exact pseudonorms.  Runs are derandomized, so every run checks
+the same examples.
 """
+import cmath
+import math
 import random
+from unittest import mock
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corpus import comb_model, random_minimal_model, random_model_with_tails, relabeled
 from curvedegen import (
+    LaurentFamily,
     ModelValidationError,
+    NumericalConvergenceError,
+    SectionSystem,
     arithmetic_genus,
     blowup_node,
     blowup_smooth_point,
@@ -30,6 +39,7 @@ from curvedegen import (
     pushforward_measure,
     total_mark_degree,
 )
+from curvedegen import density
 from naive import brute_force_is_isomorphic, naive_minimal_snc_model, relabelings
 
 PROPERTY = settings(max_examples=60, derandomize=True, deadline=None,
@@ -267,3 +277,63 @@ def test_canonical_form_invariant_on_larger_regular_graphs(shape, seed):
     form = canonical_form(model)
     for _ in range(3):
         assert canonical_form(relabeled(model, rng)) == form
+
+
+@st.composite
+def section_systems(draw):
+    """A system of M = 2-4 drawn families at m = 2 or 3 and depth logt in
+    {12, 1e2, 1e3}, and a point w on its chart.  Each family has a term z^a
+    or w^b (a, b <= 2), so it is not zero on every node, and up to two
+    terms z^a w^b, which decay like |t|^min(a, b) and make tiny rows."""
+    rng = random.Random(draw(seeds))
+    m = draw(st.sampled_from([2, 3]))
+    logt = draw(st.sampled_from([12.0, 1e2, 1e3]))
+
+    def coeff():
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+    families = []
+    for _ in range(draw(st.integers(2, 4))):
+        k = rng.randint(0, 2)
+        terms = {(k, 0) if rng.random() < 0.5 else (0, k): coeff()}
+        for _ in range(rng.randint(0, 2)):
+            terms[(rng.randint(0, 2), rng.randint(0, 2))] = coeff()
+        families.append(LaurentFamily.from_dict(m, terms))
+    try:
+        system = SectionSystem(families, logt)
+    except NumericalConvergenceError:
+        assume(False)  # the build check refused the grid
+    s = rng.uniform(0.0, min(logt, 8.0))
+    return system, cmath.rect(math.exp(-s), rng.uniform(0, 2 * math.pi))
+
+
+@settings(max_examples=10, derandomize=True, deadline=None, database=None)
+@given(section_systems())
+def test_grid_stage_keeps_the_top_two_rows(drawn):
+    system, w = drawn
+    v = system.values_at(w)
+    assume(v.any())  # else every score is -inf, and ns_density refuses
+    C = system.grid()[0]
+    bounds = []
+    stage_bounds = density._pn_bounds
+
+    def recorded(system, c, part, rest):
+        lo, hi = stage_bounds(system, c, part, rest)
+        bounds.append((c, lo, hi))
+        return lo, hi
+
+    with mock.patch.object(density, "_pn_bounds", recorded):
+        rows, scores = density._grid_scores(system, C, None, v)
+    C, pn = system.grid_pn()
+    with np.errstate(divide="ignore"):
+        full = (2.0 / system.m) * np.log(np.abs(C @ v)) - np.log(pn)
+    # the stage's top two rows hold the full grid's top two scores (rows
+    # tied within 1e-13 may trade places)
+    top = np.sort(full)[-2:]
+    kept = np.sort(full[rows[np.argsort(scores)[-2:]]])
+    np.testing.assert_allclose(kept, top, rtol=0, atol=1e-13 * max(1.0, abs(top).max()))
+    # at every chunk the bounds hold the pseudonorms of the full grid
+    index = {tuple(c): i for i, c in enumerate(C)}
+    for c, lo, hi in bounds:
+        exact = pn[[index[tuple(r)] for r in c]]
+        assert np.all(lo <= exact) and np.all(exact <= hi)
