@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 input or validation problem, 2 internal
 consistency failure, 3 numerical non-convergence.  All output is
-deterministic for fixed inputs and seeds, so reruns are byte-identical.
+deterministic for fixed inputs, so reruns are byte-identical: the numeric
+grids take no options.  ``verify --seed`` is accepted and ignored.
 """
 from __future__ import annotations
 
@@ -10,7 +11,6 @@ import argparse
 import json
 import sys
 
-from .density import OptimizerSpec
 from .dotio import emit_dot, emit_stable_dot
 from .dsl import ModelDocument, emit_model, parse_model
 from .errors import (CurveDegenError, InternalConsistencyError,
@@ -30,9 +30,6 @@ from .reduction import (StableDualGraph, essential_skeleton, minimal_snc_model,
                         stable_dual_graph)
 
 __all__ = ["main"]
-
-_SEED_HELP = ("seed of the random coefficient directions, which only systems of "
-              "three or more sections use")
 
 
 def _document(path: str) -> ModelDocument:
@@ -124,10 +121,8 @@ def _cmd_dims(args) -> int:
 
 def _cmd_measure(args) -> int:
     model = _load(args.file)
-    opt = OptimizerSpec(seed=args.seed)
     if args.kind == "ns":
-        measure = ns_limit_measure(model, estimate_genus0=args.estimate_genus0,
-                                   optimizer=opt)
+        measure = ns_limit_measure(model, estimate_genus0=args.estimate_genus0)
     else:
         measure = pb_limit_measure(model)
     if args.push == "hyb":
@@ -191,7 +186,6 @@ def _cmd_verify(args) -> int:
     m = model.params.m
     l = len(chain.model_edges)
     logt_grid = _numbers("--logt", args.logt)
-    opt = OptimizerSpec(seed=args.seed)
 
     base = LaurentFamily.from_w_powers(m, {0: 1.0, 1: args.correction}, chain_length=l)
     if args.experiment == "norm":
@@ -204,11 +198,11 @@ def _cmd_verify(args) -> int:
         if args.experiment == "region-mass":
             results = [region_mass_experiment([base, second],
                                               _numbers("--region", args.region, 2),
-                                              logt_grid=logt_grid, optimizer=opt)]
+                                              logt_grid=logt_grid)]
         else:
             # bare "pairing" reports the diagonal growth and the cross-term decay
             diag, off = pairing_experiments([base, second], member=0, pair=(0, 1),
-                                            logt_grid=logt_grid, optimizer=opt)
+                                            logt_grid=logt_grid)
             results = {"pairing": [diag, off], "pairing-diag": [diag],
                        "pairing-offdiag": [off]}[args.experiment]
     for r in results:
@@ -271,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--push", choices=["cc", "hyb", "fiber"], default="cc")
     q.add_argument("--estimate-genus0", action="store_true",
                    help="numerically estimate genus-0 vertex masses")
-    q.add_argument("--seed", type=int, default=2024, help=_SEED_HELP)
     q.add_argument("--json", action="store_true")
     q.add_argument("--dot", metavar="PATH", help="DOT file of the curve-complex masses")
 
@@ -294,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--logt", default="100,1000,10000",
                    help="comma separated log(1/|t|) grid")
     q.add_argument("--seed", type=int, default=2024,
-                   help=_SEED_HELP + "; these two-family runs only record it")
+                   help="accepted and ignored: the coefficient grids are fixed")
     q.add_argument("--correction", type=float, default=0.3,
                    help="first-order correction coefficient of the test family")
     q.add_argument("--region", default="0.2,0.4",

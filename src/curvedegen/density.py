@@ -89,12 +89,15 @@ _POLISH_ROUNDS = 200   # majorization steps per start, and compass steps per cal
 _ROW_FLOOR = 1e-8      # majorizer weights floor |S_i c| at this fraction of |S_i|
 _MERGE_RADIUS = 0.1    # starts this fraction of their step off a better one are dropped
 _FIRST_CHUNK = 6       # the grid stage of ns_density first sums the top N >> 6 nodes
+_GRID_SEED = 2024      # the fixed seed of the random rows of grids of M >= 3 families
 
 
 @dataclass(frozen=True)
 class OptimizerSpec:
-    """Seed of the random coefficient directions that ``coefficient_grid``
-    adds for three or more families; smaller systems do not read it."""
+    """Accepted in the positional ``optimizer`` slot of ``ns_density``,
+    ``pb_density`` and ``ns_mass_genus0``, which ``perfbench/`` still fills,
+    and read by nothing: ``coefficient_grid`` takes no options, so ``seed``
+    has no effect."""
 
     seed: int = 2024
 
@@ -250,9 +253,9 @@ def _envelope(sq: np.ndarray, weights: np.ndarray, m: int) -> float:
     return float(weights @ sq ** (1.0 / m))
 
 
-def coefficient_grid(n_families: int, optimizer: OptimizerSpec | None = None,
-                     level: int = 0) -> np.ndarray:
-    """Deterministic unit vectors sampling the coefficient lines, (K, M).
+def coefficient_grid(n_families: int, level: int = 0) -> np.ndarray:
+    """Deterministic unit vectors sampling the coefficient lines, (K, M),
+    read-only and made once per (``n_families``, ``level``).
 
     Normalized densities ignore the scale and phase of c, so the grid
     holds one row per line.  At ``level`` k there are phase = 32 * 2^k
@@ -260,37 +263,44 @@ def coefficient_grid(n_families: int, optimizer: OptimizerSpec | None = None,
     (moduli - 2) x phase rows: (1, 0), then (cos eta, sin eta e^(i delta))
     for the ``moduli - 2`` interior values of eta on a uniform grid of [0,
     pi/2], each with ``phase`` phases delta, then (0, 1).  Larger ones get
-    the axes, the pairwise diagonals and seeded random directions up to
-    moduli x phase rows.  Every grid holds the coordinate axes exactly, so
-    grid maxima of normalized densities never fall below any single
-    member's own density.
+    the axes, the pairwise diagonals and random directions drawn from the
+    fixed seed 2024 up to moduli x phase rows; no option changes them.
+    Every grid holds the coordinate axes exactly, so grid maxima of
+    normalized densities never fall below any single member's own density.
     """
-    opt = optimizer or OptimizerSpec()
+    return _coefficient_grid(int(n_families), int(level))
+
+
+@functools.cache
+def _coefficient_grid(n_families: int, level: int) -> np.ndarray:
     phase = 32 << level
     moduli = phase + 1
     if n_families == 1:
-        return np.ones((1, 1), dtype=complex)
-    if n_families == 2:
+        C = np.ones((1, 1), dtype=complex)
+    elif n_families == 2:
         eta = np.linspace(0.0, np.pi / 2.0, moduli)[1:-1]
         delta = np.arange(phase) * (2.0 * np.pi / phase)
         c0 = np.repeat(np.cos(eta), phase)
         c1 = np.repeat(np.sin(eta), phase) * np.exp(1j * np.tile(delta, moduli - 2))
-        return np.concatenate([[[1.0, 0.0]], np.stack([c0, c1], axis=1), [[0.0, 1.0]]])
-    rows = list(np.eye(n_families, dtype=complex))
-    for j in range(n_families):
-        for k in range(j + 1, n_families):
-            for z in (1.0, -1.0, 1j, -1j):
-                v = np.zeros(n_families, dtype=complex)
-                v[j] = 1.0
-                v[k] = z
-                rows.append(v / np.sqrt(2.0))
-    rng = np.random.default_rng(opt.seed)
-    n_extra = max(0, moduli * phase - len(rows))
-    raw = rng.standard_normal((n_extra, 2 * n_families))
-    vecs = raw[:, ::2] + 1j * raw[:, 1::2]
-    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    rows.extend(vecs)
-    return np.array(rows)
+        C = np.concatenate([[[1.0, 0.0]], np.stack([c0, c1], axis=1), [[0.0, 1.0]]])
+    else:
+        rows = list(np.eye(n_families, dtype=complex))
+        for j in range(n_families):
+            for k in range(j + 1, n_families):
+                for z in (1.0, -1.0, 1j, -1j):
+                    v = np.zeros(n_families, dtype=complex)
+                    v[j] = 1.0
+                    v[k] = z
+                    rows.append(v / np.sqrt(2.0))
+        rng = np.random.default_rng(_GRID_SEED)
+        n_extra = max(0, moduli * phase - len(rows))
+        raw = rng.standard_normal((n_extra, 2 * n_families))
+        vecs = raw[:, ::2] + 1j * raw[:, 1::2]
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        rows.extend(vecs)
+        C = np.array(rows)
+    C.flags.writeable = False
+    return C
 
 
 def grid_density(S: np.ndarray, C: np.ndarray, m: int,
@@ -457,7 +467,7 @@ class SectionSystem:
         self.terms = terms = (side_terms(families, 0), side_terms(families, 1))
         self.S, self.weights = _collapse_rings(
             *_chart_grid(terms, n_charts, self.logt, 0), _N_ANGULAR)
-        self._grids: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
+        self._grid_pn: np.ndarray | None = None
         # the row sums run as a product with ones, which is several times
         # faster than sum(axis=1) over a few columns
         base = _envelope((np.abs(self.S) ** 2) @ np.ones(len(families)), self.weights, m)
@@ -493,33 +503,25 @@ class SectionSystem:
         """Same integral for every row of a (K, M) coefficient grid."""
         return grid_density(self.S, grid, self.m, weights=self.weights)
 
-    def grid(self, optimizer: OptimizerSpec | None = None
-             ) -> tuple[np.ndarray, np.ndarray | None]:
-        """The coefficient grid, read-only and made once per optimizer
-        seed, and its pseudonorms once ``grid_pn`` has scored them (else
-        None).  The grid holds the exact axes, so a family that is zero on
-        every node would score pn = 0 and divide by it: such a family
-        raises ValueError instead."""
-        seed = (optimizer or OptimizerSpec()).seed
-        if seed not in self._grids:
-            zero = np.flatnonzero(~self.S.any(axis=0))
-            if zero.size:
-                raise ValueError(f"family {zero[0]} is zero on every node: "
-                                 "its pseudonorm is 0")
-            C = coefficient_grid(len(self.families), optimizer)
-            C.flags.writeable = False
-            self._grids[seed] = (C, None)
-        return self._grids[seed]
+    def grid(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The coefficient grid ``coefficient_grid(M)``, shared by every
+        system of M families, and its pseudonorms once ``grid_pn`` has
+        scored them (else None).  The grid holds the exact axes, so a
+        family that is zero on every node would score pn = 0 and divide by
+        it: such a family raises ValueError instead."""
+        zero = np.flatnonzero(~self.S.any(axis=0))
+        if zero.size:
+            raise ValueError(f"family {zero[0]} is zero on every node: "
+                             "its pseudonorm is 0")
+        return coefficient_grid(len(self.families)), self._grid_pn
 
-    def grid_pn(self, optimizer: OptimizerSpec | None = None
-                ) -> tuple[np.ndarray, np.ndarray]:
+    def grid_pn(self) -> tuple[np.ndarray, np.ndarray]:
         """The coefficient grid and its pseudonorms, read-only and scored
-        once per optimizer seed (see ``grid``)."""
-        C, pn_grid = self.grid(optimizer)
+        once per system (see ``grid``)."""
+        C, pn_grid = self.grid()
         if pn_grid is None:
-            pn_grid = self.pn_batch(C)
+            pn_grid = self._grid_pn = self.pn_batch(C)
             pn_grid.flags.writeable = False
-            self._grids[(optimizer or OptimizerSpec()).seed] = (C, pn_grid)
         return C, pn_grid
 
     @functools.cached_property
@@ -741,8 +743,10 @@ def ns_density(families, logt: float, w: complex,
     or else halves delta (from 0.25), and stops at delta < 1e-9 or after
     200 rounds.  Every candidate is a unit coefficient vector, so the
     value is attained and bounds the sup from below.  A value that
-    overflows a float raises NumericalConvergenceError.
+    overflows a float raises NumericalConvergenceError.  ``optimizer`` is
+    accepted and ignored: the coefficient grid takes no options.
     """
+    del optimizer
     _check_chart_point(w, logt)
     system = _system_for(families, logt, system)
     m = system.m
@@ -750,7 +754,7 @@ def ns_density(families, logt: float, w: complex,
     v = system.values_at(w)
     log_area = -2.0 * math.log(abs(complex(w)))
     if n == 1:
-        pn_one = system.grid_pn(optimizer)[1][0]
+        pn_one = system.grid_pn()[1][0]
         val = abs(v[0])
         if val == 0.0:
             return 0.0
@@ -761,7 +765,7 @@ def ns_density(families, logt: float, w: complex,
         with np.errstate(divide="ignore"):
             return (2.0 / m) * np.log(np.abs(C @ v)) - np.log(system.pn_batch(C))
 
-    grid, pn_grid = system.grid(optimizer)
+    grid, pn_grid = system.grid()
     rows, scores = _grid_scores(system, grid, pn_grid, v)
     order = np.argsort(scores)[::-1]
     if not math.isfinite(scores[order[0]]):
@@ -798,9 +802,7 @@ def ns_density(families, logt: float, w: complex,
     return _density_at(w, float(h.max()) + log_area)
 
 
-def pairing_matrix(families, logt: float,
-                   system: SectionSystem | None = None,
-                   optimizer: OptimizerSpec | None = None) -> np.ndarray:
+def pairing_matrix(families, logt: float, system: SectionSystem | None = None) -> np.ndarray:
     """Hermitian matrix of integrals of theta_j conj(theta_k) / tau^(m-1).
 
     tau is the extremal density of the same system, realized per node as a
@@ -809,7 +811,7 @@ def pairing_matrix(families, logt: float,
     """
     system = _system_for(families, logt, system)
     m = system.m
-    tau = system.tau_normalized(*system.grid_pn(optimizer))
+    tau = system.tau_normalized(*system.grid_pn())
     norms, U = system.unit_rows
     # |S_i|^2 tau_i^(1-m) in logs, on unit rows: tau^(1-m) alone overflows
     # where every section is small; all-zero rows (tau = 0) add nothing
@@ -831,18 +833,20 @@ def pairing_matrix(families, logt: float,
 def pb_density(families, logt: float, w: complex,
                system: SectionSystem | None = None,
                optimizer: OptimizerSpec | None = None) -> float:
-    """Density at w of the measure sum (conj(A)^-1)_jk theta_j conj(theta_k) / tau^(m-1)."""
+    """Density at w of the measure sum (conj(A)^-1)_jk theta_j conj(theta_k)
+    / tau^(m-1).  ``optimizer`` is accepted and ignored, as in ``ns_density``."""
+    del optimizer
     _check_chart_point(w, logt)
     system = _system_for(families, logt, system)
     m = system.m
-    A = pairing_matrix(families, logt, optimizer=optimizer, system=system)
+    A = pairing_matrix(families, logt, system=system)
     v = system.values_at(w)
     try:
         quad = float(np.real(np.conj(v) @ np.linalg.solve(A, v)))
     except np.linalg.LinAlgError:
         raise NumericalConvergenceError(
             "pairing matrix is singular", diagnostics={"logt": logt, "m": m}) from None
-    tau_w = ns_density(families, logt, w, optimizer=optimizer, system=system)
+    tau_w = ns_density(families, logt, w, system=system)
     if tau_w <= 0.0:
         raise NumericalConvergenceError(
             "extremal density vanished where the pairing density was requested",
@@ -853,8 +857,7 @@ def pb_density(families, logt: float, w: complex,
     return _density_at(w, log_val)
 
 
-def region_tau_mass(families, logt: float, region: tuple[float, float],
-                    f=None, optimizer: OptimizerSpec | None = None) -> float:
+def region_tau_mass(families, logt: float, region: tuple[float, float], f=None) -> float:
     """Mass of the extremal measure over a skeleton-edge region.
 
     The edge is parameterized by u in [0, 1]; u <= 1/2 lives on the w side
@@ -874,7 +877,7 @@ def region_tau_mass(families, logt: float, region: tuple[float, float],
     if not (0.0 <= a < b <= 1.0):
         raise ValueError("region must be a nondegenerate subinterval of [0, 1]")
     system = SectionSystem(families, logt)
-    C, pn_grid = system.grid_pn(optimizer)
+    C, pn_grid = system.grid_pn()
 
     def piece(lo: float, hi: float, side: int, level: int) -> float:
         if hi <= lo:

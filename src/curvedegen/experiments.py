@@ -3,8 +3,8 @@
 Each experiment sweeps a grid of degeneration depths L = log(1/|t|),
 compares an observed quantity against its predicted limit shape, and
 returns the comparison as a small immutable table.  Observables come from
-the frozen-grid machinery in ``density``; everything is deterministic for
-a fixed seed, so reruns produce byte-identical tables.
+the frozen-grid machinery in ``density``, whose grids take no options:
+everything is deterministic, so reruns produce byte-identical tables.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from ._lazy import np
-from .density import OptimizerSpec, gauss_panels, pairing_matrix, pseudonorm, region_tau_mass
+from .density import gauss_panels, pairing_matrix, pseudonorm, region_tau_mass
 from .laurent import LaurentFamily
 
 __all__ = [
@@ -100,8 +100,7 @@ def norm_asymptotics_experiment(family: LaurentFamily,
 
 def region_mass_experiment(families, region: tuple[float, float],
                            f=None, f_label: str = "1",
-                           logt_grid=DEFAULT_LOGT_GRID,
-                           optimizer: OptimizerSpec | None = None) -> ExperimentResult:
+                           logt_grid=DEFAULT_LOGT_GRID) -> ExperimentResult:
     """Extremal-measure mass of an edge region versus (1/l) * integral of f.
 
     The limit measure spreads mass 1/l per unit of the edge coordinate, so
@@ -117,19 +116,17 @@ def region_mass_experiment(families, region: tuple[float, float],
     else:
         u, wu = gauss_panels(np.linspace(a, b, 9))
         f_int = float(np.asarray(f(u), dtype=float) @ wu)
-    opt = optimizer or OptimizerSpec()
     obs, ref = [], []
     for L in logt_grid:
-        obs.append(region_tau_mass(families, L, region, f=f, optimizer=opt))
+        obs.append(region_tau_mass(families, L, region, f=f))
         ref.append(f_int / l)
     meta = {"m": families[0].m, "n_families": len(families),
-            "region": region, "weight": f_label, "seed": opt.seed}
+            "region": region, "weight": f_label}
     return _result("region-mass", logt_grid, obs, ref, meta)
 
 
 def pairing_experiments(families, member: int = 0, pair: tuple[int, int] = (0, 1),
-                        logt_grid=DEFAULT_LOGT_GRID,
-                        optimizer: OptimizerSpec | None = None
+                        logt_grid=DEFAULT_LOGT_GRID
                         ) -> tuple[ExperimentResult, ExperimentResult]:
     """The diagonal and off-diagonal experiments from one sweep of matrices.
 
@@ -141,21 +138,19 @@ def pairing_experiments(families, member: int = 0, pair: tuple[int, int] = (0, 1
     """
     families = tuple(families)
     grid = _check_grid(logt_grid)
-    opt = optimizer or OptimizerSpec()
-    mats = [pairing_matrix(families, L, optimizer=opt) for L in grid]
+    mats = [pairing_matrix(families, L) for L in grid]
 
     fam = families[member]
     obs = [float(np.real(A[member, member])) for A in mats]
     ref = [abs(fam.residue) ** 2 * (2.0 * np.pi * fam.chain_length * L) ** fam.m
            for L in grid]
     meta = {"m": fam.m, "member": member, "n_families": len(families),
-            "seed": opt.seed, "truncation": fam.truncation_order}
+            "truncation": fam.truncation_order}
     diag = _result("pairing-diag", grid, obs, ref, meta)
 
     j, k = pair
     # one root per entry: their product overflows for large families
     obs = [abs(A[j, k]) / float(np.sqrt(np.real(A[j, j])) * np.sqrt(np.real(A[k, k])))
            for A in mats]
-    meta = {"m": families[0].m, "pair": pair, "n_families": len(families),
-            "seed": opt.seed}
+    meta = {"m": families[0].m, "pair": pair, "n_families": len(families)}
     return diag, _result("pairing-offdiag", grid, obs, [0.0] * len(grid), meta)

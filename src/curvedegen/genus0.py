@@ -19,8 +19,7 @@ import cmath
 import math
 
 from ._lazy import np
-from .density import (OptimizerSpec, _refine, coefficient_grid, gauss_panels, grid_density,
-                      grid_max)
+from .density import _refine, coefficient_grid, gauss_panels, grid_density, grid_max
 from .errors import NumericalConvergenceError
 from .measures import Estimate
 
@@ -46,11 +45,18 @@ def generic_configuration(n: int) -> tuple[complex, ...]:
 
 
 def moebius_points(points, coeffs: tuple[float, float, float, float]) -> tuple[complex, ...]:
-    """Apply (a p + b) / (c p + d) to every point."""
+    """Apply (a p + b) / (c p + d) to every point; a point sent to infinity
+    (c p + d = 0) raises ValueError."""
     a, b, c, d = coeffs
     if a * d - b * c == 0:
         raise ValueError("degenerate transformation")
-    return tuple((a * p + b) / (c * p + d) for p in points)
+    out = []
+    for p in points:
+        den = c * p + d
+        if den == 0:
+            raise ValueError(f"point {p!r} is sent to infinity")
+        out.append((a * p + b) / den)
+    return tuple(out)
 
 
 class _Chart:
@@ -161,33 +167,34 @@ def _chart_nodes(chart: _Chart, level: int):
     return np.concatenate(blocks_v), np.concatenate(blocks_w)
 
 
-def _mass_pass(points, coeffs, m: int, d: int, level: int,
-               optimizer: OptimizerSpec) -> float:
+def _mass_pass(points, coeffs, m: int, d: int, level: int) -> float:
     """The mass on the level-``level`` nodes and coefficient grid."""
     nodes = [_chart_nodes(_Chart(points, coeffs, m, d, kind), level) for kind in ("w", "v")]
     V = np.concatenate([values for values, _ in nodes])
     W = np.concatenate([weights for _, weights in nodes])
-    C = coefficient_grid(d + 1, optimizer, level)
+    C = coefficient_grid(d + 1, level)
     return float(W @ grid_max(V, C, m, grid_density(V, C, m, W)))
 
 
-def ns_mass_genus0(points, coefficients, m: int,
-                   quad=None,
-                   optimizer: OptimizerSpec | None = None) -> Estimate:
+def ns_mass_genus0(points, coefficients, m: int, quad=None, optimizer=None) -> Estimate:
     """Mass of the extremal measure for weighted points on the sphere.
 
-    ``coefficients`` are the pole orders a_i, each in [1, m-1] so the
-    local integrals converge; sum a_i must be at least 2m.  Non-finite
+    ``coefficients`` are the integer pole orders a_i, each in [1, m-1] so
+    the local integrals converge; sum a_i must be at least 2m.  Non-finite
     points are rejected, and so are points too close to the gluing circle
     |w| = 1; move those first with a Moebius transformation.  The levels
     0 and 1 go through ``density._refine`` with no tolerance: it takes any
     finite level-1 value, and the error bar is twice its gap plus 1e-10 of
-    the value.  ``quad`` is ignored: the levels are fixed here, and
-    ``optimizer`` sets only the seed.
+    the value.  ``quad`` and ``optimizer`` are accepted and ignored: the
+    levels and the coefficient grid are fixed here.
     """
-    del quad
+    del quad, optimizer
     points = tuple(complex(p) for p in points)
-    coeffs = tuple(int(a) for a in coefficients)
+    coeffs = tuple(coefficients)
+    for a in coeffs:
+        if not (math.isfinite(a) and a == int(a)):
+            raise ValueError(f"pole order {a!r} is not an integer")
+    coeffs = tuple(int(a) for a in coeffs)
     if len(points) != len(coeffs):
         raise ValueError("one coefficient per point required")
     if len(set(points)) != len(points):
@@ -203,10 +210,9 @@ def ns_mass_genus0(points, coefficients, m: int,
         if abs(abs(p) - 1.0) < _SEAM_MARGIN:
             raise ValueError("point too close to the chart seam |w| = 1; "
                              "move the configuration by a Moebius transformation")
-    opt = optimizer or OptimizerSpec()
 
     # any finite level-1 value is taken; the gap sizes the error bar
-    fine, gap = _refine(lambda level: _mass_pass(points, coeffs, m, d, level, opt),
+    fine, gap = _refine(lambda level: _mass_pass(points, coeffs, m, d, level),
                         math.inf, 1, "sphere mass integration failed")
     if fine <= 0.0:
         raise NumericalConvergenceError("sphere mass integration failed", best=fine)

@@ -113,8 +113,7 @@ def _edge_masses(model: DualGraphModel, sg: StableDualGraph) -> dict[str, Fracti
     return out
 
 
-def ns_limit_measure(model: DualGraphModel, estimate_genus0: bool = False,
-                     optimizer=None) -> CCMeasure:
+def ns_limit_measure(model: DualGraphModel, estimate_genus0: bool = False) -> CCMeasure:
     """Limit of the fiberwise sup-type measures on the curve complex.
 
     Every skeleton edge carries Lebesgue mass 1/(length of its maximal
@@ -131,14 +130,14 @@ def ns_limit_measure(model: DualGraphModel, estimate_genus0: bool = False,
         if h0(b) > 0:
             total = UNKNOWN
             if estimate_genus0 and c.genus == 0:
-                total = _genus0_estimate(model, c.id, b, optimizer)
+                total = _genus0_estimate(model, c.id, b)
             comps[c.id] = ns_descriptor(b, total)
         else:
             comps[c.id] = zero_descriptor()
     return CCMeasure(model, "ns", comps, _edge_masses(model, sg))
 
 
-def _genus0_estimate(model, cid, bundle, optimizer):
+def _genus0_estimate(model, cid, bundle):
     """Numeric total mass for a genus-0 component on generic points."""
     from .genus0 import generic_configuration, ns_mass_genus0
 
@@ -152,7 +151,7 @@ def _genus0_estimate(model, cid, bundle, optimizer):
             return UNKNOWN
         coeffs.append(total)
     points = generic_configuration(len(coeffs))
-    return ns_mass_genus0(points, coeffs, bundle.m, optimizer=optimizer)
+    return ns_mass_genus0(points, coeffs, bundle.m)
 
 
 def pb_limit_measure(model: DualGraphModel) -> CCMeasure:

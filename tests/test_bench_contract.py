@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import curvedegen as cd
+from curvedegen.cli import main
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 FAMILIES = (cd.LaurentFamily.pole(2), cd.LaurentFamily.from_w_powers(2, {1: 1.0}))
@@ -66,6 +67,19 @@ def test_positional_density_calls():
     for w in (0.05j, 0.7):
         assert cd.ns_density(FAMILIES, 1e3, w, None, opt) > 0
         assert cd.pb_density(FAMILIES, 1e3, w, None, opt) > 0
+
+
+def test_verify_seed_accepted(tmp_path, capsys):
+    # the benchmark passes --seed to verify; it is accepted and ignored
+    path = tmp_path / "dumbbell.cdm"
+    path.write_text("model {\n  m = 2;\n  vertex E1 { genus = 1 };\n"
+                    "  vertex E2 { genus = 1 };\n  edge n E1 -- E2\n}\n")
+    argv = ["verify", "--experiment", "pairing", "--model", str(path),
+            "--logt", "100,1000,10000", "--json"]
+    assert main(argv + ["--seed", "7"]) == 0
+    seeded = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == seeded
 
 
 def test_positional_genus0_call():

@@ -162,8 +162,8 @@ class TestKernel:
             scored.append(len(grid))
             return batch(self, grid)
 
-        def fresh(self, optimizer=None):
-            C = coefficient_grid(len(self.families), optimizer)
+        def fresh(self):
+            C = coefficient_grid(len(self.families))
             return C, self.pn_batch(C)
 
         monkeypatch.setattr(SectionSystem, "pn_batch", counted)
@@ -196,7 +196,7 @@ class TestKernel:
         ns_density(BENCH_PAIR, 1000.0, 0.3 + 0.1j, system=system)
         assert 0 < sum(products) < 0.1 * system.n_nodes * len(grid)
 
-    @pytest.mark.parametrize("args, n_rows", [((2,), 994), ((2, None, 1), 4034)])
+    @pytest.mark.parametrize("args, n_rows", [((2,), 994), ((2, 1), 4034)])
     def test_coefficient_grid_rows_distinct(self, args, n_rows):
         # the kernel scores every row it is given, so the grid holds each
         # coefficient line once: eta = 0 and eta = pi/2 are the exact axes
@@ -207,6 +207,21 @@ class TestKernel:
         overlap = np.abs(np.conj(C) @ C.T) ** 2
         np.fill_diagonal(overlap, 0.0)
         assert overlap.max() < 1.0 - 1e-6
+
+    def test_coefficient_grid_made_once(self):
+        # one read-only grid per (M, level), which every system shares
+        C = coefficient_grid(3)
+        assert coefficient_grid(3) is C and coefficient_grid(3, level=0) is C
+        assert SectionSystem(THREE_M3, 100.0).grid()[0] is C
+        with pytest.raises(ValueError, match="read-only"):
+            C[0, 0] = 0.0
+
+    def test_seed_moves_no_value(self):
+        # OptimizerSpec is accepted and ignored: its seed once drew the
+        # random rows of every M >= 3 grid and moved this value by 1.9e-10
+        w = 0.1 + 0.3j
+        seeded = ns_density(THREE_M3, 100.0, w, None, density.OptimizerSpec(seed=7))
+        assert seeded == ns_density(THREE_M3, 100.0, w)
 
     def test_search_scores_distinct_rows(self, monkeypatch):
         # no pn_batch call of the search, the grid stage's included, repeats

@@ -118,10 +118,12 @@ class TestResultTable:
         assert len(data) == 2
         assert len(data[0].split()) == 4
 
-    def test_offdiag_seed_recorded(self, pairing_sweep):
+    def test_offdiag_metadata_recorded(self, pairing_sweep):
+        # the grids take no options, so no seed is recorded
         res = pairing_sweep[1]
-        assert "seed" in res.metadata
-        assert "# seed:" in res.to_columns()
+        assert res.metadata == {"m": 2, "pair": (0, 1), "n_families": 2}
+        assert "# pair: (0, 1)" in res.to_columns()
+        assert "seed" not in res.to_columns()
 
 
 class TestGridValidation:

@@ -62,6 +62,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="not finite"):
             ns_mass_genus0((0.1, bad, 0.3j, -0.5), (1, 1, 1, 1), 2)
 
+    def test_non_integer_pole_order(self):
+        # int() would truncate 1.5 to 1 and measure another configuration
+        with pytest.raises(ValueError, match="1.5 is not an integer"):
+            ns_mass_genus0(self.PTS, (1.5, 1, 1, 1), 2)
+
     def test_insufficient_total_weight(self):
         with pytest.raises(ValueError, match="2m"):
             ns_mass_genus0((0.1, -0.2, 0.3j), (1, 1, 1), 2)
@@ -86,6 +91,11 @@ class TestConfigurations:
     def test_moebius_identity(self):
         pts = generic_configuration(5)
         assert moebius_points(pts, (1.0, 0.0, 0.0, 1.0)) == pytest.approx(pts)
+
+    def test_moebius_pole_named(self):
+        # 1 / (p - 1) sends p = 1 to infinity
+        with pytest.raises(ValueError, match=r"point 1\.0 is sent to infinity"):
+            moebius_points([1.0, 0.5], (1, 0, 1, -1))
 
     def test_moebius_composition(self):
         # applying (p/2) then (p + 0.1) matches the composed map
