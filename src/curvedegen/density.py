@@ -38,6 +38,13 @@ maximizing column, a bound on its rounding certifies the pick, and the
 value is read from S C^T, so the maximum is always attained by a grid
 combination.
 
+A system scores its coefficient grid's pseudonorms once
+(``SectionSystem.grid_pn``).  When every term coefficient is real, S at
+-phi is conj(S) at phi.  The node grid is closed under phi -> -phi with
+equal weights, so pn(conj(c)) = pn(c).  Such a system scores one row of
+each conjugate pair of the grid and copies the value to the row's partner.
+A copied value differs from a direct pass only by summation order.
+
 ``ns_density`` needs only the top two rows of its coefficient grid, so on a
 system whose grid pseudonorms are not yet scored it bounds them instead
 (``_grid_scores``): partial sums over the heaviest nodes and a quadratic
@@ -256,6 +263,7 @@ def _envelope(sq: np.ndarray, weights: np.ndarray, m: int) -> float:
 def coefficient_grid(n_families: int, level: int = 0) -> np.ndarray:
     """Deterministic unit vectors sampling the coefficient lines, (K, M),
     read-only and made once per (``n_families``, ``level``).
+    ``n_families`` < 1 or ``level`` < 0 raises ValueError.
 
     Normalized densities ignore the scale and phase of c, so the grid
     holds one row per line.  At ``level`` k there are phase = 32 * 2^k
@@ -267,22 +275,42 @@ def coefficient_grid(n_families: int, level: int = 0) -> np.ndarray:
     fixed seed 2024 up to moduli x phase rows; no option changes them.
     Every grid holds the coordinate axes exactly, so grid maxima of
     normalized densities never fall below any single member's own density.
+
+    The conjugate of a row is a row of the same grid, up to rounding of
+    the phases, for every row of a two-member grid (phase delta pairs with
+    -delta; the axes and delta = 0, pi are their own) and for the
+    diagonals (1, +-i)/sqrt(2) of a larger one.  ``SectionSystem.grid_pn``
+    scores one row of each such pair on a real-coefficient system.
     """
-    return _coefficient_grid(int(n_families), int(level))
+    n_families, level = int(n_families), int(level)
+    if n_families < 1:
+        raise ValueError(f"n_families must be at least 1, got {n_families}")
+    if level < 0:
+        raise ValueError(f"level must be nonnegative, got {level}")
+    return _coefficient_grid(n_families, level)[0]
 
 
 @functools.cache
-def _coefficient_grid(n_families: int, level: int) -> np.ndarray:
+def _coefficient_grid(n_families: int, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grid of ``coefficient_grid`` and its conjugate partners (K,):
+    an involution of the row indices, by the grid's construction, under
+    which row partner[i] is conj(C[i]) up to rounding wherever partner[i]
+    != i.  Rows with no conjugate in the grid are their own partners.
+    Both read-only."""
     phase = 32 << level
     moduli = phase + 1
     if n_families == 1:
         C = np.ones((1, 1), dtype=complex)
+        partner = np.zeros(1, dtype=int)
     elif n_families == 2:
         eta = np.linspace(0.0, np.pi / 2.0, moduli)[1:-1]
         delta = np.arange(phase) * (2.0 * np.pi / phase)
         c0 = np.repeat(np.cos(eta), phase)
         c1 = np.repeat(np.sin(eta), phase) * np.exp(1j * np.tile(delta, moduli - 2))
         C = np.concatenate([[[1.0, 0.0]], np.stack([c0, c1], axis=1), [[0.0, 1.0]]])
+        # row 1 + i phase + j holds eta_i and delta_j; -delta_j is delta_(-j mod phase)
+        mirror = np.arange(moduli - 2)[:, None] * phase + (-np.arange(phase)) % phase
+        partner = np.concatenate([[0], 1 + mirror.ravel(), [len(C) - 1]])
     else:
         rows = list(np.eye(n_families, dtype=complex))
         for j in range(n_families):
@@ -299,8 +327,12 @@ def _coefficient_grid(n_families: int, level: int) -> np.ndarray:
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
         rows.extend(vecs)
         C = np.array(rows)
-    C.flags.writeable = False
-    return C
+        # after the axes, each pair's diagonals run z = 1, -1, i, -i
+        partner = np.arange(len(C))
+        plus_i = n_families + 2 + 4 * np.arange(n_families * (n_families - 1) // 2)
+        partner[plus_i], partner[plus_i + 1] = plus_i + 1, plus_i
+    C.flags.writeable = partner.flags.writeable = False
+    return C, partner
 
 
 def grid_density(S: np.ndarray, C: np.ndarray, m: int,
@@ -445,6 +477,9 @@ class SectionSystem:
     and ``grid_error`` is the gap relative to level 1.  Level 1 is computed
     from the term tables (``_table_norms``), not from a built grid.  A
     family that is zero on every node builds, but ``grid`` refuses it.
+    ``grid_pn`` scores the coefficient grid once.  If every term
+    coefficient is real, it scores one row of each conjugate pair, since
+    pn(conj(c)) = pn(c) on the mirror-closed node grid.
     """
 
     def __init__(self, families, logt: float):
@@ -517,10 +552,26 @@ class SectionSystem:
 
     def grid_pn(self) -> tuple[np.ndarray, np.ndarray]:
         """The coefficient grid and its pseudonorms, read-only and scored
-        once per system (see ``grid``)."""
+        once per system (see ``grid``).
+
+        When every term coefficient is real, S at phi and at -phi are
+        conjugate, and the node grid is closed under phi -> -phi with equal
+        weights, so pn(conj(c)) = pn(c).  Such a system scores one row of
+        each conjugate pair of the grid (see ``coefficient_grid``; 529 of
+        994 rows for two families) in one ``pn_batch`` call and copies each
+        value to the row's partner.  A copied value differs from a direct
+        pass only by summation order.  Any other system scores every row."""
         C, pn_grid = self.grid()
         if pn_grid is None:
-            pn_grid = self._grid_pn = self.pn_batch(C)
+            if any(t.coeff.imag.any() for t in self.terms):
+                pn_grid = self.pn_batch(C)
+            else:
+                partner = _coefficient_grid(len(self.families), 0)[1]
+                reps = np.flatnonzero(partner >= np.arange(len(C)))
+                pn_grid = np.empty(len(C))
+                pn_grid[reps] = self.pn_batch(C[reps])
+                pn_grid[partner[reps]] = pn_grid[reps]
+            self._grid_pn = pn_grid
             pn_grid.flags.writeable = False
         return C, pn_grid
 

@@ -168,7 +168,9 @@ class TestKernel:
 
         monkeypatch.setattr(SectionSystem, "pn_batch", counted)
         value = pb_density(BENCH_PAIR, 1000.0, 0.3 + 0.1j)
-        assert scored.count(grid_rows) == 1
+        # the pair's coefficients are real: one row of each of the grid's
+        # conjugate pairs is scored, and no call scores the whole grid
+        assert scored.count(529) == 1 and grid_rows not in scored
         # scoring the grid afresh for each reader of grid_pn: only the
         # pairing matrix reads it, and ns_density bounds the grid instead
         scored.clear()
@@ -215,6 +217,13 @@ class TestKernel:
         assert SectionSystem(THREE_M3, 100.0).grid()[0] is C
         with pytest.raises(ValueError, match="read-only"):
             C[0, 0] = 0.0
+
+    @pytest.mark.parametrize("args, name", [((0,), "n_families"), ((2, -1), "level")])
+    def test_coefficient_grid_refuses_bad_arguments(self, args, name):
+        # no family once gave, and cached, an empty (1056, 0) grid, and a
+        # negative level failed inside numpy with "negative shift count"
+        with pytest.raises(ValueError, match=name):
+            coefficient_grid(*args)
 
     def test_seed_moves_no_value(self):
         # OptimizerSpec is accepted and ignored: its seed once drew the
@@ -298,6 +307,63 @@ def full_grid(system):
     """The system's grid with every ring kept: one row per node."""
     n_charts = max(f.chain_length for f in system.families)
     return density._chart_grid(system.terms, n_charts, system.logt, 0)
+
+
+class TestConjugatePairs:
+    @pytest.mark.parametrize("n_families, level, n_paired", [
+        (2, 0, 31 * 30), (2, 1, 63 * 62), (3, 0, 3 * 2), (4, 0, 6 * 2)])
+    def test_partner_map(self, n_families, level, n_paired):
+        # two families: every phase but 0 and pi pairs with its negative;
+        # more: only the diagonals (1, +-i)/sqrt(2) of each pair of axes
+        C, partner = density._coefficient_grid(n_families, level)
+        rows = np.arange(len(C))
+        assert np.array_equal(partner[partner], rows)
+        paired = partner != rows
+        assert paired.sum() == n_paired
+        # the phases j 2 pi / 32 are rounded, so -delta_j and delta_(32 - j)
+        # lie up to one ulp of 2 pi apart
+        ulp = np.spacing(2.0 * np.pi)
+        assert np.abs(C[partner[paired]] - np.conj(C[paired])).max() <= ulp
+        # a row is paired exactly when another row is its conjugate: for
+        # unit rows Re(c_j . c_i) = 1 - |c_j - conj(c_i)|^2 / 2, and distinct
+        # grid lines lie far more than 1e-5 apart
+        expected = rows.copy()
+        for a in range(0, len(C), 512):
+            i, j = np.nonzero((C[a:a + 512] @ C.T).real > 1.0 - 1e-10)
+            expected[a + i] = j
+        assert np.array_equal(partner, expected)
+
+    @pytest.mark.parametrize("families, logt", [
+        (BENCH_PAIR, 12.0), (BENCH_PAIR, 1e3), (PERTURBED_PAIR, 1e2),
+        ([LaurentFamily.pole(2, chain_length=2),
+          LaurentFamily.from_w_powers(2, {1: 1.0}, chain_length=2)], 1e3),
+        (large_m_families(3, 2), 1e2),
+    ], ids=["bench-12", "bench-1e3", "perturbed", "chain2", "m3"])
+    def test_real_system_matches_direct_pass(self, families, logt):
+        # pn(conj(c)) = pn(c) when every coefficient is real: the copied
+        # values differ from a direct pass only by summation order
+        system = SectionSystem(families, logt)
+        C, pn = system.grid_pn()
+        np.testing.assert_allclose(pn, system.pn_batch(C), rtol=1e-13, atol=0)
+
+    def test_complex_system_scores_every_row(self, monkeypatch):
+        # (1 + 0.3i w, w): conjugate rows score 0.5% apart, so none is copied
+        families = [LaurentFamily.from_w_powers(2, {0: 1.0, 1: 0.3j}),
+                    LaurentFamily.from_w_powers(2, {1: 1.0})]
+        system = SectionSystem(families, 100.0)
+        C, partner = density._coefficient_grid(2, 0)
+        batch = SectionSystem.pn_batch
+        scored = []
+
+        def counted(self, grid):
+            scored.append(len(grid))
+            return batch(self, grid)
+
+        monkeypatch.setattr(SectionSystem, "pn_batch", counted)
+        pn = system.grid_pn()[1]
+        direct = batch(system, C)
+        assert scored == [len(C)] and np.array_equal(pn, direct)
+        assert np.abs(direct[partner] / direct - 1.0).max() > 1e-3
 
 
 class TestRingCollapse:

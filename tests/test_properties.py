@@ -284,13 +284,16 @@ def section_systems(draw):
     """A system of M = 2-4 drawn families at m = 2 or 3 and depth logt in
     {12, 1e2, 1e3}, and a point w on its chart.  Each family has a term z^a
     or w^b (a, b <= 2), so it is not zero on every node, and up to two
-    terms z^a w^b, which decay like |t|^min(a, b) and make tiny rows."""
+    terms z^a w^b, which decay like |t|^min(a, b) and make tiny rows.
+    Some systems draw real coefficients only: their grid pseudonorms score
+    one row of each conjugate pair (``SectionSystem.grid_pn``)."""
     rng = random.Random(draw(seeds))
     m = draw(st.sampled_from([2, 3]))
     logt = draw(st.sampled_from([12.0, 1e2, 1e3]))
+    real = draw(st.booleans())
 
     def coeff():
-        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        return complex(rng.uniform(-1, 1), 0.0 if real else rng.uniform(-1, 1))
 
     families = []
     for _ in range(draw(st.integers(2, 4))):
@@ -324,6 +327,7 @@ def test_grid_stage_keeps_the_top_two_rows(drawn):
 
     with mock.patch.object(density, "_pn_bounds", recorded):
         rows, scores = density._grid_scores(system, C, None, v)
+    # on a real-coefficient system these are the paired pseudonorms
     C, pn = system.grid_pn()
     with np.errstate(divide="ignore"):
         full = (2.0 / system.m) * np.log(np.abs(C @ v)) - np.log(pn)
