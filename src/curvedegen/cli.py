@@ -201,8 +201,7 @@ def _cmd_verify(args) -> int:
                                               logt_grid=logt_grid)]
         else:
             # bare "pairing" reports the diagonal growth and the cross-term decay
-            diag, off = pairing_experiments([base, second], member=0, pair=(0, 1),
-                                            logt_grid=logt_grid)
+            diag, off = pairing_experiments([base, second], logt_grid=logt_grid)
             results = {"pairing": [diag, off], "pairing-diag": [diag],
                        "pairing-offdiag": [off]}[args.experiment]
     for r in results:

@@ -793,9 +793,11 @@ def ns_density(families, logt: float, w: complex,
     four along e_j, which stay on its line), moves to the best improvement
     or else halves delta (from 0.25), and stops at delta < 1e-9 or after
     200 rounds.  Every candidate is a unit coefficient vector, so the
-    value is attained and bounds the sup from below.  A value that
-    overflows a float raises NumericalConvergenceError.  ``optimizer`` is
-    accepted and ignored: the coefficient grid takes no options.
+    value is attained and bounds the sup from below.  At a common zero of
+    every family, where theta_c(w) = 0 for every c, the density is exactly
+    0.0.  A value that overflows a float raises NumericalConvergenceError.
+    ``optimizer`` is accepted and ignored: the coefficient grid takes no
+    options.
     """
     del optimizer
     _check_chart_point(w, logt)
@@ -804,19 +806,18 @@ def ns_density(families, logt: float, w: complex,
     n = len(system.families)
     v = system.values_at(w)
     log_area = -2.0 * math.log(abs(complex(w)))
+    grid, pn_grid = system.grid()
+    if not v.any():
+        return 0.0
     if n == 1:
         pn_one = system.grid_pn()[1][0]
-        val = abs(v[0])
-        if val == 0.0:
-            return 0.0
-        return _density_at(w, (2.0 / m) * math.log(val) + log_area
+        return _density_at(w, (2.0 / m) * math.log(abs(v[0])) + log_area
                            - math.log(pn_one))
 
     def log_density(C: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
             return (2.0 / m) * np.log(np.abs(C @ v)) - np.log(system.pn_batch(C))
 
-    grid, pn_grid = system.grid()
     rows, scores = _grid_scores(system, grid, pn_grid, v)
     order = np.argsort(scores)[::-1]
     if not math.isfinite(scores[order[0]]):

@@ -109,48 +109,45 @@ def region_mass_experiment(families, region: tuple[float, float],
     """
     logt_grid = _check_grid(logt_grid)
     families = tuple(families)
-    l = max(fam.chain_length for fam in families)
     a, b = region
     if f is None:
         f_int = b - a
     else:
         u, wu = gauss_panels(np.linspace(a, b, 9))
         f_int = float(np.asarray(f(u), dtype=float) @ wu)
-    obs, ref = [], []
-    for L in logt_grid:
-        obs.append(region_tau_mass(families, L, region, f=f))
-        ref.append(f_int / l)
+    obs = [region_tau_mass(families, L, region, f=f) for L in logt_grid]
+    # a system build refuses families of mixed chain lengths
+    ref = [f_int / families[0].chain_length] * len(obs)
     meta = {"m": families[0].m, "n_families": len(families),
             "region": region, "weight": f_label}
     return _result("region-mass", logt_grid, obs, ref, meta)
 
 
-def pairing_experiments(families, member: int = 0, pair: tuple[int, int] = (0, 1),
-                        logt_grid=DEFAULT_LOGT_GRID
+def pairing_experiments(families, logt_grid=DEFAULT_LOGT_GRID
                         ) -> tuple[ExperimentResult, ExperimentResult]:
     """The diagonal and off-diagonal experiments from one sweep of matrices.
 
-    The diagonal entry of ``member`` goes against its residue-pole limit
+    The diagonal entry of member 0 goes against its residue-pole limit
     (2 pi l L)^m; the ratio converges to |residue|^2 = 1 for a residue-one
     member whose residue term dominates.  The normalized off-diagonal entry
-    |A_jk| / sqrt(A_jj A_kk) of ``pair`` has limit zero, so its observed
-    column doubles as the error column and should decrease along the grid.
+    |A_01| / sqrt(A_00 A_11) of the pair (0, 1) has limit zero, so its
+    observed column doubles as the error column and should decrease along
+    the grid.
     """
     families = tuple(families)
     grid = _check_grid(logt_grid)
     mats = [pairing_matrix(families, L) for L in grid]
 
-    fam = families[member]
-    obs = [float(np.real(A[member, member])) for A in mats]
+    fam = families[0]
+    obs = [float(np.real(A[0, 0])) for A in mats]
     ref = [abs(fam.residue) ** 2 * (2.0 * np.pi * fam.chain_length * L) ** fam.m
            for L in grid]
-    meta = {"m": fam.m, "member": member, "n_families": len(families),
+    meta = {"m": fam.m, "member": 0, "n_families": len(families),
             "truncation": fam.truncation_order}
     diag = _result("pairing-diag", grid, obs, ref, meta)
 
-    j, k = pair
     # one root per entry: their product overflows for large families
-    obs = [abs(A[j, k]) / float(np.sqrt(np.real(A[j, j])) * np.sqrt(np.real(A[k, k])))
+    obs = [abs(A[0, 1]) / float(np.sqrt(np.real(A[0, 0])) * np.sqrt(np.real(A[1, 1])))
            for A in mats]
-    meta = {"m": families[0].m, "pair": pair, "n_families": len(families)}
+    meta = {"m": fam.m, "pair": (0, 1), "n_families": len(families)}
     return diag, _result("pairing-offdiag", grid, obs, [0.0] * len(grid), meta)

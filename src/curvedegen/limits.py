@@ -15,11 +15,15 @@ from fractions import Fraction
 
 from .bundles import BundleDescriptor, bundle_for, h0
 from .errors import InternalConsistencyError, ModelValidationError
+from .genus0 import generic_configuration, ns_mass_genus0
 from .measures import (
     UNKNOWN,
     CCMeasure,
+    ComponentPoint,
+    EdgePoint,
     FiberMeasure,
     HybMeasure,
+    mass_add,
     ns_descriptor,
     pb_descriptor,
     zero_descriptor,
@@ -139,8 +143,6 @@ def ns_limit_measure(model: DualGraphModel, estimate_genus0: bool = False) -> CC
 
 def _genus0_estimate(model, cid, bundle):
     """Numeric total mass for a genus-0 component on generic points."""
-    from .genus0 import generic_configuration, ns_mass_genus0
-
     coeffs = [bundle.m - 1] * bundle.valency
     for (host, _), grp in model.mark_locations().items():
         if host != cid:
@@ -176,25 +178,29 @@ def pb_limit_measure(model: DualGraphModel) -> CCMeasure:
     return measure
 
 
+def _fold_atoms(masses, atoms, kind, refusal):
+    """``masses`` with the mass of each atom added to the entry of its
+    component (``kind`` ComponentPoint) or edge (EdgePoint); an atom at any
+    other kind of location raises ValueError with ``refusal``."""
+    out = dict(masses)
+    for a in atoms:
+        if not isinstance(a.location, kind):
+            raise ValueError(f"atom at {a.location} {refusal}")
+        key = a.location.component if kind is ComponentPoint else a.location.edge
+        out[key] = mass_add(out.get(key, Fraction(0)), a.mass)
+    return out
+
+
 def pushforward_to_hyb(measure: CCMeasure) -> HybMeasure:
     """Collapse each component stratum to a vertex atom of its total mass.
 
     Point atoms on a component fold into its vertex atom; atoms in edge
     interiors have no counterpart in this container and are rejected.
     """
-    from .measures import ComponentPoint, mass_add
-
     model = measure.model
-    atoms = {cid: cm.total for cid, cm in measure.components.items()}
-    for a in measure.atoms:
-        if isinstance(a.location, ComponentPoint):
-            cid = a.location.component
-            atoms[cid] = mass_add(atoms.get(cid, Fraction(0)), a.mass)
-        else:
-            raise ValueError(
-                f"atom at {a.location} sits inside an edge; not representable "
-                "as a hybrid-space measure"
-            )
+    atoms = _fold_atoms(
+        {cid: cm.total for cid, cm in measure.components.items()}, measure.atoms,
+        ComponentPoint, "sits inside an edge; not representable as a hybrid-space measure")
     return HybMeasure(
         model, measure.kind, atoms, dict(measure.edges),
         on_essential_skeleton=(is_minimal(model)
@@ -207,26 +213,34 @@ def pushforward_to_fiber(measure: CCMeasure) -> FiberMeasure:
 
     Atoms inside an edge map to the same node, so they fold into its atom.
     """
-    from .measures import EdgePoint, mass_add
-
-    node_atoms = {eid: v for eid, v in measure.edges.items()}
-    for a in measure.atoms:
-        if isinstance(a.location, EdgePoint):
-            eid = a.location.edge
-            node_atoms[eid] = mass_add(node_atoms.get(eid, Fraction(0)), a.mass)
-        else:
-            raise ValueError(
-                f"atom at {a.location} is a smooth fiber point; only node "
-                "atoms are representable here"
-            )
-    return FiberMeasure(
-        measure.model, measure.kind,
-        dict(measure.components),
-        node_atoms,
-    )
+    node_atoms = _fold_atoms(
+        measure.edges, measure.atoms, EdgePoint,
+        "is a smooth fiber point; only node atoms are representable here")
+    return FiberMeasure(measure.model, measure.kind, dict(measure.components), node_atoms)
 
 
 # -- growing tensor power ------------------------------------------------------
+
+
+def _large_m(model: DualGraphModel, mark_weight, expected) -> HybMeasure:
+    """Vertex atoms 2g(v) - 2 + val(v) + mark_weight * deg_v(B), each
+    nonnegative and summing to ``expected``; the callers' input checks rule
+    out a breach of either, so one is an internal error."""
+    atoms = {}
+    for c in model.components:
+        w = Fraction(2 * c.genus - 2 + model.valency(c.id)) \
+            + mark_weight * model.mark_degree(c.id)
+        if w < 0:
+            raise InternalConsistencyError(
+                f"negative atom {w} on {c.id}; the model cannot be minimal"
+            )
+        atoms[c.id] = w
+    measure = HybMeasure(model, "ns-large-m", atoms, {}, on_essential_skeleton=True)
+    if measure.total_mass() != expected:
+        raise InternalConsistencyError(
+            f"vertex atoms sum to {measure.total_mass()}, expected {expected}"
+        )
+    return measure
 
 
 def large_m_limit_fixed_divisor(model: DualGraphModel) -> HybMeasure:
@@ -250,16 +264,7 @@ def large_m_limit_fixed_divisor(model: DualGraphModel) -> HybMeasure:
                 f"component {c.id} is a rational tail; the model is not a "
                 "minimal semistable model"
             )
-    atoms = {
-        c.id: Fraction(2 * c.genus - 2 + model.valency(c.id))
-        for c in model.components
-    }
-    total = sum(atoms.values(), Fraction(0))
-    if total != 2 * g - 2:
-        raise InternalConsistencyError(
-            f"vertex atoms sum to {total}, expected {2 * g - 2}"
-        )
-    return HybMeasure(model, "ns-large-m", atoms, {}, on_essential_skeleton=True)
+    return _large_m(model, 0, 2 * g - 2)
 
 
 def large_m_limit_fixed_qdivisor(model: DualGraphModel) -> HybMeasure:
@@ -279,21 +284,7 @@ def large_m_limit_fixed_qdivisor(model: DualGraphModel) -> HybMeasure:
             "large-power limit needs 2g - 2 + deg(B)/m > 0; "
             f"got {expected}"
         )
-    atoms = {}
-    for c in model.components:
-        w = Fraction(2 * c.genus - 2 + model.valency(c.id)) \
-            + Fraction(model.mark_degree(c.id), mm)
-        if w < 0:
-            raise InternalConsistencyError(
-                f"negative atom {w} on {c.id}; the model cannot be minimal"
-            )
-        atoms[c.id] = w
-    total = sum(atoms.values(), Fraction(0))
-    if total != expected:
-        raise InternalConsistencyError(
-            f"vertex atoms sum to {total}, expected {expected}"
-        )
-    return HybMeasure(model, "ns-large-m", atoms, {}, on_essential_skeleton=True)
+    return _large_m(model, Fraction(1, mm), expected)
 
 
 # -- measures on stable curves -------------------------------------------------

@@ -7,7 +7,9 @@ with zero.  Numerical estimates carry an error bar.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
@@ -16,6 +18,7 @@ __all__ = [
     "Estimate",
     "MassValue",
     "mass_add",
+    "mass_sum",
     "mass_is_zero",
     "ComponentMeasure",
     "ComponentPoint",
@@ -66,6 +69,11 @@ def mass_add(a, b):
         bv, be = (b.value, b.error) if isinstance(b, Estimate) else (float(b), 0.0)
         return Estimate(av + bv, ae + be)
     return a + b
+
+
+def mass_sum(*groups):
+    """Every mass of every group in order, folded left from 0 by ``mass_add``."""
+    return functools.reduce(mass_add, itertools.chain.from_iterable(groups), Fraction(0))
 
 
 def mass_is_zero(v) -> bool:
@@ -145,14 +153,8 @@ class CCMeasure:
     atoms: tuple[Atom, ...] = ()
 
     def total_mass(self):
-        out: MassValue = Fraction(0)
-        for cm in self.components.values():
-            out = mass_add(out, cm.total)
-        for v in self.edges.values():
-            out = mass_add(out, v)
-        for a in self.atoms:
-            out = mass_add(out, a.mass)
-        return out
+        return mass_sum((cm.total for cm in self.components.values()),
+                        self.edges.values(), (a.mass for a in self.atoms))
 
 
 @dataclass(frozen=True)
@@ -166,12 +168,7 @@ class HybMeasure:
     on_essential_skeleton: bool = True
 
     def total_mass(self):
-        out: MassValue = Fraction(0)
-        for v in self.vertex_atoms.values():
-            out = mass_add(out, v)
-        for v in self.edges.values():
-            out = mass_add(out, v)
-        return out
+        return mass_sum(self.vertex_atoms.values(), self.edges.values())
 
 
 @dataclass(frozen=True)
@@ -184,9 +181,5 @@ class FiberMeasure:
     node_atoms: dict[str, MassValue]  # keyed by edge id
 
     def total_mass(self):
-        out: MassValue = Fraction(0)
-        for cm in self.components.values():
-            out = mass_add(out, cm.total)
-        for v in self.node_atoms.values():
-            out = mass_add(out, v)
-        return out
+        return mass_sum((cm.total for cm in self.components.values()),
+                        self.node_atoms.values())

@@ -22,6 +22,7 @@ from .measures import (
     EdgePoint,
     mass_add,
     mass_is_zero,
+    mass_sum,
     zero_descriptor,
 )
 from .model import (
@@ -449,18 +450,13 @@ def _push_step(measure: CCMeasure, step) -> CCMeasure:
 
     if isinstance(step, SmoothCollapse):
         gone = comps.pop(step.component)
-        collapsed_mass = gone.total
-        collapsed_mass = mass_add(collapsed_mass, edges.pop(step.edge))
-        new_atoms = []
-        for a in atoms:
-            loc = a.location
-            on_gone = (isinstance(loc, ComponentPoint) and loc.component == step.component) \
+
+        def on_gone(loc):
+            return (isinstance(loc, ComponentPoint) and loc.component == step.component) \
                 or (isinstance(loc, EdgePoint) and loc.edge == step.edge)
-            if on_gone:
-                collapsed_mass = mass_add(collapsed_mass, a.mass)
-            else:
-                new_atoms.append(a)
-        atoms = new_atoms
+        collapsed_mass = mass_sum((gone.total, edges.pop(step.edge)),
+                                  (a.mass for a in atoms if on_gone(a.location)))
+        atoms = [a for a in atoms if not on_gone(a.location)]
         target_loc = ComponentPoint(step.host, step.location)
         if not mass_is_zero(collapsed_mass):
             merged = False
@@ -476,12 +472,12 @@ def _push_step(measure: CCMeasure, step) -> CCMeasure:
         gone = comps.pop(step.component)
         mass_a = edges.pop(step.edge_a)
         mass_b = edges.pop(step.edge_b)
-        point_mass = gone.total
+        point_masses = [gone.total]
         new_atoms = []
         for a in atoms:
             loc = a.location
             if isinstance(loc, ComponentPoint) and loc.component == step.component:
-                point_mass = mass_add(point_mass, a.mass)
+                point_masses.append(a.mass)
             elif isinstance(loc, EdgePoint) and loc.edge == step.edge_a:
                 new_atoms.append(Atom(EdgePoint(step.merged_edge, loc.position), a.mass))
             elif isinstance(loc, EdgePoint) and loc.edge == step.edge_b:
@@ -491,6 +487,7 @@ def _push_step(measure: CCMeasure, step) -> CCMeasure:
                 new_atoms.append(a)
         atoms = new_atoms
         edges[step.merged_edge] = mass_add(mass_a, mass_b)
+        point_mass = mass_sum(point_masses)
         if not mass_is_zero(point_mass):
             atoms.append(Atom(EdgePoint(step.merged_edge, step.length_a), point_mass))
         return CCMeasure(None, measure.kind, comps, edges, tuple(atoms))

@@ -808,6 +808,16 @@ class TestNSDensity:
         # at e^-354 the density, about 4.81e303, still is
         assert 1e303 < density_fn(families, 1e3, math.exp(-354.0)) < math.inf
 
+    def test_common_zero_of_every_family(self):
+        # 1 - w and w - w^2 both vanish at w = 1: every combination does,
+        # so the extremal density there is exactly 0 for one family or two
+        one_minus_w = LaurentFamily.from_w_powers(2, {0: 1, 1: -1})
+        pair = [one_minus_w, LaurentFamily.from_w_powers(2, {1: 1, 2: -1})]
+        assert ns_density(pair[:1], 100.0, 1.0) == 0.0
+        assert ns_density(pair, 100.0, 1.0) == 0.0
+        with pytest.raises(NumericalConvergenceError, match="extremal density vanished"):
+            pb_density(pair, 100.0, 1.0)
+
     def test_singular_pairing_matrix_raises(self):
         # two copies of one family make the pairing matrix singular
         with pytest.raises(NumericalConvergenceError, match="singular") as info:

@@ -1,12 +1,17 @@
-"""numpy loads on first numeric use, never on the exact path.
+"""numpy loads on first numeric use, never on the exact path, and every
+public name a module lists resolves.
 
-Each check runs in a fresh interpreter, since this test process has long
-since imported numpy.
+Each numpy check runs in a fresh interpreter, since this test process has
+long since imported numpy.
 """
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import curvedegen
 
@@ -73,3 +78,15 @@ def test_missing_numpy_fails_at_import_naming_it():
     # -S leaves site-packages, and numpy with it, off the path
     code = "try:\n    import curvedegen\nexcept ImportError as err:\n    print(err.name)"
     assert _run(code, flags=("-S",)) == ["numpy"]
+
+
+# __main__ runs the command line when imported
+MODULES = sorted(info.name for info in pkgutil.iter_modules(curvedegen.__path__)
+                 if info.name != "__main__")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_listed_name_resolves(name):
+    module = importlib.import_module(f"curvedegen.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []

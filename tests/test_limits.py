@@ -7,6 +7,10 @@ import pytest
 from corpus import minimal_corpus, random_model_with_tails
 from curvedegen import (
     UNKNOWN,
+    Atom,
+    CCMeasure,
+    ComponentPoint,
+    EdgePoint,
     Estimate,
     ModelValidationError,
     Unknown,
@@ -175,6 +179,35 @@ class TestPushforwards:
             mu = pb_limit_measure(model)
             assert pushforward_to_fiber(mu).total_mass() == mu.total_mass()
 
+    @staticmethod
+    def with_atoms(*atoms):
+        mu = pb_limit_measure(chain3())
+        return CCMeasure(mu.model, mu.kind, mu.components, mu.edges, atoms)
+
+    def test_component_atoms_fold_into_their_vertex(self):
+        mu = self.with_atoms(Atom(ComponentPoint("F", "p"), Fraction(1, 3)),
+                             Atom(ComponentPoint("E1", "q"), Fraction(1, 4)),
+                             Atom(ComponentPoint("F", "r"), Fraction(1, 6)))
+        nu = pushforward_to_hyb(mu)
+        assert nu.vertex_atoms == {"E1": Fraction(5, 4), "F": Fraction(1, 2),
+                                   "E2": Fraction(1)}
+        assert nu.total_mass() == mu.total_mass() == Fraction(15, 4)
+        with pytest.raises(ValueError, match="is a smooth fiber point"):
+            pushforward_to_fiber(mu)
+
+    def test_edge_atoms_fold_into_their_node(self):
+        mu = self.with_atoms(Atom(EdgePoint("e2", Fraction(1, 2)), Fraction(1, 4)),
+                             Atom(EdgePoint("e2", Fraction(1, 3)), UNKNOWN))
+        fm = pushforward_to_fiber(mu)
+        assert fm.node_atoms["e1"] == Fraction(1, 2)
+        assert fm.node_atoms["e2"] is UNKNOWN
+        assert fm.total_mass() is UNKNOWN
+        fm = pushforward_to_fiber(self.with_atoms(mu.atoms[0]))
+        assert fm.node_atoms == {"e1": Fraction(1, 2), "e2": Fraction(3, 4)}
+        assert fm.total_mass() == Fraction(13, 4)
+        with pytest.raises(ValueError, match="sits inside an edge"):
+            pushforward_to_hyb(mu)
+
 
 class TestLargeM:
     def test_dumbbell_atoms(self):
@@ -239,6 +272,27 @@ class TestLargeM:
                 lo = h0(bundle_for(model.with_params(10), c.id))
                 hi = h0(bundle_for(model.with_params(1000), c.id))
                 assert Fraction(hi - lo, 990) == nu.vertex_atoms[c.id]
+            checked += 1
+        assert checked >= 20
+
+    def test_qdivisor_atoms_add_mark_degree_over_m(self):
+        # both limits share the vertex rule; holding B/m fixed instead of B
+        # adds deg_v(B)/m to each atom and deg(B)/m to the total
+        checked = 0
+        for model in minimal_corpus(seed=35, count=200):
+            if not model.is_semistable() or arithmetic_genus(model) < 2:
+                continue
+            if any(c.genus == 0 and model.valency(c.id) < 2
+                   for c in model.components):
+                continue
+            m = model.params.m
+            fixed_b = large_m_limit_fixed_divisor(model)
+            fixed_qb = large_m_limit_fixed_qdivisor(model)
+            for c in model.components:
+                assert (fixed_qb.vertex_atoms[c.id] - fixed_b.vertex_atoms[c.id]
+                        == Fraction(model.mark_degree(c.id), m))
+            assert (fixed_qb.total_mass() - fixed_b.total_mass()
+                    == Fraction(total_mark_degree(model), m))
             checked += 1
         assert checked >= 20
 
