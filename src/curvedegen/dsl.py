@@ -64,17 +64,17 @@ class _Parser:
 
     def _fail(self, message: str, token: _Token | None = None):
         tok = token if token is not None else self.peek()
-        if tok is None:
-            raise ParseError(f"{message}, at end of input")
+        if tok is None:  # end of input: point just past the last token
+            last = self.tokens[-1] if self.tokens else _Token("", 1, 1)
+            raise ParseError(f"{message}, at end of input",
+                             line=last.line, column=last.col + len(last.text))
         raise ParseError(message, line=tok.line, column=tok.col)
 
     def peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def take(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input")
+        tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 

@@ -28,7 +28,7 @@ from .measures import (
     pb_descriptor,
     zero_descriptor,
 )
-from .model import (DualGraphModel, arithmetic_genus, is_connected, require_valid,
+from .model import (DualGraphModel, _graph_genus, arithmetic_genus, require_valid,
                     total_mark_degree)
 from .reduction import StableDualGraph, _stable_graph, is_minimal
 
@@ -301,11 +301,11 @@ def stable_curve_ns_measure(graph: StableDualGraph) -> FiberMeasure:
         raise ModelValidationError(f"m must be at least 2, got {graph.m}")
     if any(d != 0 for d in graph.mark_degree.values()):
         raise ModelValidationError("stable curve measure is defined without marks")
-    if graph.vertices and not is_connected(
-            graph.vertices, (ch.endpoints for ch in graph.chains)):
+    # the empty graph has genus 1 by the formula
+    g = (_graph_genus(graph.genus, (ch.endpoints for ch in graph.chains))
+         if graph.vertices else 1)
+    if g is None:
         raise ModelValidationError("stable curve graph is disconnected")
-    g = (sum(graph.genus.values()) + len(graph.chains)
-         - len(graph.vertices) + 1)
     if g < 2:
         raise ModelValidationError(f"stable curves here need genus >= 2, got {g}")
     for v in graph.vertices:

@@ -35,7 +35,6 @@ __all__ = [
     "arithmetic_genus",
     "total_mark_degree",
     "is_inessential",
-    "is_connected",
     "canonical_form",
     "is_isomorphic",
 ]
@@ -250,32 +249,34 @@ def make_model(m, vertices, edges=(), marks=()) -> DualGraphModel:
 # -- basic invariants ------------------------------------------------------
 
 
-def is_connected(vertices, pairs) -> bool:
-    """True when the graph on ``vertices`` with edges ``pairs`` (endpoint
-    pairs, closed edges allowed) is connected and nonempty."""
-    vertices = list(vertices)
-    if not vertices:
-        return False
-    adj: dict[str, set[str]] = {v: set() for v in vertices}
+def _graph_genus(genera: dict[str, int], pairs) -> int | None:
+    """Genus sum(g_v) + |E| - |V| + 1 of the graph whose vertices are the
+    keys of ``genera`` and whose edges are ``pairs`` (endpoint pairs, closed
+    edges allowed); None when the graph is empty or disconnected."""
+    pairs = list(pairs)
+    adj: dict[str, set[str]] = {v: set() for v in genera}
     for a, b in pairs:
         adj[a].add(b)
         adj[b].add(a)
-    seen = {vertices[0]}
-    stack = [vertices[0]]
+    stack = list(adj)[:1]
+    seen = set(stack)
     while stack:
         for u in adj[stack.pop()]:
             if u not in seen:
                 seen.add(u)
                 stack.append(u)
-    return len(seen) == len(adj)
+    if not seen or len(seen) != len(adj):
+        return None
+    return sum(genera.values()) + len(pairs) - len(adj) + 1
 
 
 def arithmetic_genus(model: DualGraphModel) -> int:
     """Genus of the fiber: sum of component genera plus independent cycles."""
-    if not is_connected(model.component_ids(), (e.endpoints for e in model.edges)):
+    g = _graph_genus({c.id: c.genus for c in model.components},
+                     (e.endpoints for e in model.edges))
+    if g is None:
         raise ModelValidationError("arithmetic genus needs a connected model")
-    return (sum(c.genus for c in model.components)
-            + len(model.edges) - len(model.components) + 1)
+    return g
 
 
 def total_mark_degree(model: DualGraphModel) -> int:
@@ -338,12 +339,11 @@ def validate(model: DualGraphModel) -> ValidationReport:
                 p.id,
             ))
 
-    if not is_connected(model.component_ids(), (e.endpoints for e in model.edges)):
+    g = _graph_genus({c.id: c.genus for c in model.components},
+                     (e.endpoints for e in model.edges))
+    if g is None:
         errors.append(Violation("disconnected", "model must be connected"))
         return ValidationReport(tuple(errors), tuple(warnings))
-
-    g = (sum(c.genus for c in model.components)
-         + len(model.edges) - len(model.components) + 1)
 
     if g == 1 and not model.marks:
         errors.append(Violation(

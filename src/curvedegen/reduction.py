@@ -58,13 +58,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SmoothCollapse:
-    """One component and its single edge collapse to a point on the host."""
+    """One component and its single edge collapse to a point on the host.
+
+    ``point`` is that point; ``image`` sends the component and the edge to
+    it and fixes every other location, so ``preimage`` is the identity off
+    ``point``.
+    """
 
     component: str
     edge: str
     host: str
     location: str  # point id on the host
     moved_marks: tuple[str, ...] = ()
+
+    @property
+    def point(self) -> ComponentPoint:
+        return ComponentPoint(self.host, self.location)
+
+    def image(self, loc):
+        if (isinstance(loc, ComponentPoint) and loc.component == self.component
+                or isinstance(loc, EdgePoint) and loc.edge == self.edge):
+            return self.point
+        return loc
+
+    def preimage(self, loc):
+        return loc
 
 
 @dataclass(frozen=True)
@@ -74,7 +92,10 @@ class NodeCollapse:
     The two source edges merge into ``merged_edge``.  Positions on it run
     from the first endpoint of ``target.edge(merged_edge).endpoints``, which
     is the end of ``edge_a`` away from the component, and the collapsed
-    component sits at distance ``length_a`` from it.
+    component sits at distance ``length_a`` from it: that is ``point``.
+    ``image`` sends the component to ``point`` and each piece onto its
+    part of the merged edge; ``preimage`` splits the merged edge back at
+    ``point``.
     """
 
     component: str
@@ -83,6 +104,26 @@ class NodeCollapse:
     edge_b: str
     length_b: Fraction
     merged_edge: str
+
+    @property
+    def point(self) -> EdgePoint:
+        return EdgePoint(self.merged_edge, self.length_a)
+
+    def image(self, loc):
+        if isinstance(loc, ComponentPoint) and loc.component == self.component:
+            return self.point
+        if isinstance(loc, EdgePoint) and loc.edge == self.edge_a:
+            return EdgePoint(self.merged_edge, loc.position)
+        if isinstance(loc, EdgePoint) and loc.edge == self.edge_b:
+            return EdgePoint(self.merged_edge, self.length_a + loc.position)
+        return loc
+
+    def preimage(self, loc):
+        if not (isinstance(loc, EdgePoint) and loc.edge == self.merged_edge):
+            return loc
+        if loc.position < self.length_a:
+            return EdgePoint(self.edge_a, loc.position)
+        return EdgePoint(self.edge_b, loc.position - self.length_a)
 
 
 @dataclass(frozen=True)
@@ -443,64 +484,43 @@ def blowup_node(model: DualGraphModel, eid: str) -> tuple[DualGraphModel, Domina
 # -- measure transport -------------------------------------------------------
 
 
+def _require_step(step):
+    if not isinstance(step, (SmoothCollapse, NodeCollapse)):
+        raise TypeError(f"unknown step {step!r}")
+
+
 def _push_step(measure: CCMeasure, step) -> CCMeasure:
+    _require_step(step)
     comps = dict(measure.components)
     edges = dict(measure.edges)
-    atoms = list(measure.atoms)
-
+    folded = [comps.pop(step.component).total]
     if isinstance(step, SmoothCollapse):
-        gone = comps.pop(step.component)
-
-        def on_gone(loc):
-            return (isinstance(loc, ComponentPoint) and loc.component == step.component) \
-                or (isinstance(loc, EdgePoint) and loc.edge == step.edge)
-        collapsed_mass = mass_sum((gone.total, edges.pop(step.edge)),
-                                  (a.mass for a in atoms if on_gone(a.location)))
-        atoms = [a for a in atoms if not on_gone(a.location)]
-        target_loc = ComponentPoint(step.host, step.location)
-        if not mass_is_zero(collapsed_mass):
-            merged = False
-            for i, a in enumerate(atoms):
-                if a.location == target_loc:
-                    atoms[i] = Atom(target_loc, mass_add(a.mass, collapsed_mass))
-                    merged = True
-            if not merged:
-                atoms.append(Atom(target_loc, collapsed_mass))
-        return CCMeasure(None, measure.kind, comps, edges, tuple(atoms))
-
-    if isinstance(step, NodeCollapse):
-        gone = comps.pop(step.component)
+        folded.append(edges.pop(step.edge))
+    else:
         mass_a = edges.pop(step.edge_a)
-        mass_b = edges.pop(step.edge_b)
-        point_masses = [gone.total]
-        new_atoms = []
-        for a in atoms:
-            loc = a.location
-            if isinstance(loc, ComponentPoint) and loc.component == step.component:
-                point_masses.append(a.mass)
-            elif isinstance(loc, EdgePoint) and loc.edge == step.edge_a:
-                new_atoms.append(Atom(EdgePoint(step.merged_edge, loc.position), a.mass))
-            elif isinstance(loc, EdgePoint) and loc.edge == step.edge_b:
-                new_atoms.append(Atom(
-                    EdgePoint(step.merged_edge, step.length_a + loc.position), a.mass))
-            else:
-                new_atoms.append(a)
-        atoms = new_atoms
-        edges[step.merged_edge] = mass_add(mass_a, mass_b)
-        point_mass = mass_sum(point_masses)
-        if not mass_is_zero(point_mass):
-            atoms.append(Atom(EdgePoint(step.merged_edge, step.length_a), point_mass))
-        return CCMeasure(None, measure.kind, comps, edges, tuple(atoms))
-
-    raise TypeError(f"unknown step {step!r}")
+        edges[step.merged_edge] = mass_add(mass_a, edges.pop(step.edge_b))
+    point = step.point
+    atoms = []
+    for a in measure.atoms:
+        loc = step.image(a.location)
+        if loc == point:
+            folded.append(a.mass)
+        else:
+            atoms.append(Atom(loc, a.mass))
+    mass = mass_sum(folded)
+    if not mass_is_zero(mass):
+        atoms.append(Atom(point, mass))
+    return CCMeasure(None, measure.kind, comps, edges, tuple(atoms))
 
 
 def pushforward_measure(measure: CCMeasure, dmap: DominationMap) -> CCMeasure:
     """Push a measure on the source model down to the target model.
 
-    Collapsed components contribute their (finite) total as an atom at the
-    collapse location; a zero measure on a collapsed component leaves no
-    atom.  Subdivided edges re-merge with summed masses.
+    At each step the collapsed component's (finite) total and every atom
+    whose image is the step's ``point`` fold into one atom there; a smooth
+    collapse folds in its edge's mass too, and a zero fold leaves no atom.
+    Subdivided edges re-merge with summed masses; other atoms move to their
+    images.
     """
     if measure.model != dmap.source:
         raise ValueError("measure does not live on the source model of the map")
@@ -511,62 +531,38 @@ def pushforward_measure(measure: CCMeasure, dmap: DominationMap) -> CCMeasure:
 
 
 def _lift_step(measure: CCMeasure, step) -> CCMeasure:
-    comps = dict(measure.components)
+    _require_step(step)
+    point = step.point
+    atoms = []
+    for a in measure.atoms:
+        if a.location != point:
+            atoms.append(Atom(step.preimage(a.location), a.mass))
+        elif not mass_is_zero(a.mass):
+            raise LiftError(f"measure has an atom of mass {a.mass} at the "
+                            f"collapse point {point}; no lift exists")
+    comps = {**measure.components, step.component: zero_descriptor()}
     edges = dict(measure.edges)
-    atoms = list(measure.atoms)
-
     if isinstance(step, SmoothCollapse):
-        loc = ComponentPoint(step.host, step.location)
-        for a in atoms:
-            if a.location == loc and not mass_is_zero(a.mass):
-                raise LiftError(
-                    f"measure has an atom of mass {a.mass} at the collapse "
-                    f"point {step.location} on {step.host}; no lift exists"
-                )
-        atoms = [a for a in atoms if a.location != loc]
-        comps[step.component] = zero_descriptor()
         edges[step.edge] = Fraction(0)
-        return CCMeasure(None, measure.kind, comps, edges, tuple(atoms))
-
-    if isinstance(step, NodeCollapse):
+    else:
         if step.merged_edge not in edges:
             raise LiftError(f"edge {step.merged_edge} missing from measure")
-        total_len = step.length_a + step.length_b
         mass = edges.pop(step.merged_edge)
-        if isinstance(mass, Fraction):
-            edges[step.edge_a] = mass * step.length_a / total_len
-            edges[step.edge_b] = mass * step.length_b / total_len
-        else:
+        if not isinstance(mass, Fraction):
             raise LiftError("cannot split a non-exact edge mass")
-        new_atoms = []
-        for a in atoms:
-            loc = a.location
-            if isinstance(loc, EdgePoint) and loc.edge == step.merged_edge:
-                if loc.position == step.length_a and not mass_is_zero(a.mass):
-                    raise LiftError(
-                        f"atom of mass {a.mass} at the blown-up point of "
-                        f"edge {step.merged_edge}; no lift exists"
-                    )
-                if loc.position < step.length_a:
-                    new_atoms.append(Atom(EdgePoint(step.edge_a, loc.position), a.mass))
-                else:
-                    new_atoms.append(Atom(
-                        EdgePoint(step.edge_b, loc.position - step.length_a), a.mass))
-            else:
-                new_atoms.append(a)
-        atoms = new_atoms
-        comps[step.component] = zero_descriptor()
-        return CCMeasure(None, measure.kind, comps, edges, tuple(atoms))
-
-    raise TypeError(f"unknown step {step!r}")
+        total_len = step.length_a + step.length_b
+        edges[step.edge_a] = mass * step.length_a / total_len
+        edges[step.edge_b] = mass * step.length_b / total_len
+    return CCMeasure(None, measure.kind, comps, edges, tuple(atoms))
 
 
 def lift_measure(measure: CCMeasure, dmap: DominationMap) -> CCMeasure:
     """Lift a measure on the target model up to the source model.
 
-    The lift exists iff the measure has no atoms at collapse locations; it
-    is zero on collapsed components and spreads each subdivided edge's mass
-    proportionally to the piece lengths.
+    The lift exists iff the measure has no nonzero atom at a step's
+    ``point``; a zero atom there is dropped, and every other atom moves to
+    its preimage.  The lift is zero on collapsed components and spreads
+    each subdivided edge's mass proportionally to the piece lengths.
     """
     if measure.model != dmap.target:
         raise ValueError("measure does not live on the target model of the map")

@@ -882,6 +882,10 @@ class TestRegionMass:
         with pytest.raises(ValueError, match="at least one family"):
             region_tau_mass([], 100.0, (0.2, 0.4))
 
+    def test_mixed_tensor_orders_refused(self):
+        with pytest.raises(ValueError, match="share the same tensor order m"):
+            SectionSystem([LaurentFamily.pole(2), LaurentFamily.pole(3)], 100.0)
+
     def test_unstable_weight_raises_with_history(self):
         # a weight oscillating far below every level's resolution keeps
         # consecutive doublings from agreeing

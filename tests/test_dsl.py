@@ -151,6 +151,34 @@ class TestParseErrors:
         err = self.err("model { m = 2\n vertex A { genus = 1 }\n shrub\n}")
         assert "unexpected" in str(err)
 
+    @pytest.mark.parametrize("text, message, line, column", [
+        ("model m", "expected '{', found 'm'", 1, 7),
+        ("model {\n  m = x\n}", "expected an integer for m", 2, 7),
+        ("model { m = 2\n vertex { genus = 1 } }", "expected a vertex id", 2, 9),
+        ("model {\n  m = 0\n}", "m must be positive", 2, 7),
+        ("model { m = 2; vertex A { genus = 1",
+         "expected '}' closing the vertex block, at end of input", 1, 36),
+        ("model { m = 2\n vertex A { mult = 0 } }", "multiplicity must be positive",
+         2, 20),
+        ("model { m = 2\n vertex A { colour = 1 } }",
+         "unexpected 'colour' in vertex block", 2, 13),
+    ])
+    def test_message_and_position(self, text, message, line, column):
+        err = self.err(text)
+        assert (err.message, err.line, err.column) == (message, line, column)
+
+    @pytest.mark.parametrize("text, line, column", [
+        ("", 1, 1),
+        ("model", 1, 6),
+        ("model { m = 2\n vertex A { genus = 1 }\n", 2, 24),
+        ("model { m = 2\n edge  # a comment\n\n", 2, 6),
+    ])
+    def test_end_of_input_points_just_past_the_last_token(self, text, line, column):
+        err = self.err(text)
+        assert err.message.endswith(", at end of input")
+        assert (err.line, err.column) == (line, column)
+        assert str(err).endswith(f"at line {line}, column {column}")
+
 
 class TestEmission:
     def test_emit_is_stable_under_reparse(self):

@@ -49,6 +49,10 @@ class TestLaurentFamily:
         with pytest.raises(ValueError):
             LaurentFamily.from_dict(2, {(-1, 0): 1.0})
 
+    def test_duplicate_exponent_pair_rejected(self):
+        with pytest.raises(ValueError, match=r"duplicate exponent pair \(1, 0\)"):
+            LaurentFamily(2, (((0, 0), 1.0), ((1, 0), 0.5), ((1, 0), 0.25)))
+
     @pytest.mark.parametrize("c", [math.nan, math.inf, complex(0.3, -math.inf)])
     def test_non_finite_coefficient_rejected(self, c):
         # a NaN coefficient once built a family whose build check failed

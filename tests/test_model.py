@@ -39,6 +39,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="duplicate"):
             make_model(2, [("A", 1), ("B", 1)], [("A", "A", "B")])
 
+    def test_duplicate_mark_id(self):
+        with pytest.raises(ValueError, match="duplicate id P"):
+            make_model(3, [("A", 1)], [], [("P", "A", 1), ("P", "A", 2)])
+
     def test_unknown_edge_endpoint(self):
         with pytest.raises(ValueError, match="unknown component"):
             make_model(2, [("A", 1)], [("e1", "A", "Z")])

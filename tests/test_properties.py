@@ -11,6 +11,7 @@ the same examples.
 import cmath
 import math
 import random
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -19,10 +20,15 @@ from hypothesis import strategies as st
 
 from corpus import comb_model, random_minimal_model, random_model_with_tails, relabeled
 from curvedegen import (
+    Atom,
+    CCMeasure,
+    ComponentPoint,
+    EdgePoint,
     LaurentFamily,
     ModelValidationError,
     NumericalConvergenceError,
     SectionSystem,
+    SmoothCollapse,
     arithmetic_genus,
     blowup_node,
     blowup_smooth_point,
@@ -180,6 +186,59 @@ def test_push_after_lift_is_identity(model, seed):
         full = dmap if full is None else compose_maps(dmap, full)
     assert lift_measure(mu0, full) == mu
     assert pushforward_measure(mu, full) == mu0
+
+
+def _collapsed(step, loc) -> bool:
+    """True when ``loc`` lies on a stratum that ``step`` collapses."""
+    if isinstance(loc, ComponentPoint):
+        return loc.component == step.component
+    return isinstance(step, SmoothCollapse) and loc.edge == step.edge
+
+
+@PROPERTY
+@given(minimal_models, seeds)
+def test_push_keeps_the_mass_of_atoms(model, seed):
+    """Atoms at component points (collapse points among them) and interior
+    edge points, added to a lifted measure: each one-step push keeps the
+    total, and folds the collapsed strata into one atom at the step's point."""
+    rng = random.Random(seed)
+    current, maps = model, []
+    for _ in range(rng.randint(1, 4)):
+        if current.edges and rng.random() < 0.5:
+            current, dmap = blowup_node(current, rng.choice(sorted(e.id for e in current.edges)))
+        else:
+            current, dmap = blowup_smooth_point(
+                current, rng.choice(sorted(c.id for c in current.components)))
+        maps.insert(0, dmap)
+    full = maps[0]
+    for dmap in maps[1:]:
+        full = compose_maps(full, dmap)
+    mu = lift_measure(pb_limit_measure(model), full)
+    points = [s.point for d in maps for s in d.steps if isinstance(s, SmoothCollapse)]
+    atoms = []
+    for _ in range(rng.randint(1, 8)):
+        mass = Fraction(rng.randint(0, 6), rng.randint(1, 3))
+        if rng.random() < 0.5:
+            cid = rng.choice(sorted(c.id for c in current.components))
+            atoms.append(Atom(rng.choice(points + [ComponentPoint(cid, "q")]), mass))
+        else:
+            eid = rng.choice(sorted(e.id for e in current.edges))
+            x = current.edge_length(eid) * Fraction(rng.randint(1, 4), 5)
+            atoms.append(Atom(EdgePoint(eid, x), mass))
+    mu = CCMeasure(current, mu.kind, mu.components, mu.edges, tuple(atoms))
+    assert pushforward_measure(mu, full).total_mass() == mu.total_mass()
+    for dmap in maps:
+        (step,) = dmap.steps
+        pushed = pushforward_measure(mu, dmap)
+        assert pushed.total_mass() == mu.total_mass()
+        folded = mu.components[step.component].total + sum(
+            (a.mass for a in mu.atoms
+             if a.location == step.point or _collapsed(step, a.location)),
+            mu.edges[step.edge] if isinstance(step, SmoothCollapse) else Fraction(0))
+        at_point = [a.mass for a in pushed.atoms if a.location == step.point]
+        assert at_point == ([folded] if folded else [])
+        assert not any(_collapsed(step, a.location) for a in pushed.atoms)
+        mu = pushed
 
 
 @PROPERTY

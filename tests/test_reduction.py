@@ -8,6 +8,7 @@ import pytest
 from corpus import minimal_corpus, random_model_with_tails
 from curvedegen import (
     Atom,
+    CCMeasure,
     ComponentPoint,
     EdgePoint,
     LiftError,
@@ -28,6 +29,8 @@ from curvedegen import (
     stable_dual_graph,
     validate,
 )
+from curvedegen.jsonio import map_to_json, measure_to_json
+from curvedegen.measures import pb_descriptor
 
 
 def figure_two_chain():
@@ -341,6 +344,46 @@ class TestMeasureTransport:
         with pytest.raises(ValueError):
             pushforward_measure(pb_limit_measure(other), dom)
 
+    def test_lift_refuses_a_measure_off_the_target(self):
+        model = make_model(2, [("E1", 1), ("E2", 1)], [("n", "E1", "E2")])
+        blown, dom = blowup_node(model, "n")
+        with pytest.raises(ValueError, match="target model"):
+            lift_measure(lift_measure(pb_limit_measure(model), dom), dom)
+
+    def test_atoms_at_the_collapse_point_fold_into_one(self):
+        # two 1/2 atoms already at the collapse point once each gained the
+        # collapsed mass 2: two atoms of 5/2 and a total of 6 instead of 4
+        model = make_model(3, [("C", 2), ("L", 0)], [("C", "L")], [("P", "L", 2)])
+        _, dom = minimal_snc_model(model)
+        (step,) = dom.steps
+        point = ComponentPoint("C", step.location)
+        assert step.point == point
+        half = Atom(point, Fraction(1, 2))
+        mu = CCMeasure(model, "pb",
+                       {"C": pb_descriptor(None, 1), "L": pb_descriptor(None, 2)},
+                       {step.edge: Fraction(0)}, (half, half))
+        assert mu.total_mass() == 4
+        pushed = pushforward_measure(mu, dom)
+        assert pushed.atoms == (Atom(point, Fraction(3)),)
+        assert pushed.total_mass() == 4
+
+    def test_lift_at_a_node_point(self):
+        # a nonzero atom where the node was blown up has no lift; a zero one
+        # is dropped (it once moved to the endpoint 0 of edge_b)
+        model = make_model(2, [("E1", 1), ("E2", 1)], [("n", "E1", "E2")])
+        _, dom = blowup_node(model, "n")
+        (step,) = dom.steps
+        assert step.point == EdgePoint("n", Fraction(1, 2))
+        mu = pb_limit_measure(model)
+        with pytest.raises(LiftError, match=r"collapse point EdgePoint\(edge='n'"):
+            lift_measure(replace(mu, atoms=(Atom(step.point, Fraction(1)),)), dom)
+        x = Fraction(1, 8)
+        zero_there = replace(mu, atoms=(Atom(step.point, Fraction(0)),
+                                        Atom(EdgePoint("n", x), Fraction(1))))
+        lifted = lift_measure(zero_there, dom)
+        assert lifted.atoms == (Atom(EdgePoint(step.edge_a, x), Fraction(1)),)
+        assert lifted == lift_measure(replace(mu, atoms=zero_there.atoms[1:]), dom)
+
     def test_compose_maps(self):
         model = make_model(2, [("E1", 1), ("E2", 1)], [("n", "E1", "E2")])
         b1, d1 = blowup_node(model, "n")
@@ -382,3 +425,39 @@ class TestMeasureTransport:
         assert dom.component_fate("E3") == "kept"
         assert dom.component_fate("E1").startswith("collapsed-to-point")
         assert dom.edge_fate("e1") == "collapsed"
+
+
+class TestJson:
+    def test_node_collapse_map(self):
+        model = make_model(2, [("E1", 1), ("E2", 1, 2)], [("n", "E1", "E2")])
+        _, dom = blowup_node(model, "n")
+        (step,) = map_to_json(dom)["steps"]
+        assert step == {"type": "node-collapse", "component": "exc_n",
+                        "edges": ["n_a", "n_b"], "merged_edge": "n",
+                        "lengths": [{"num": 1, "den": 3}, {"num": 1, "den": 6}]}
+
+    def test_pushed_measure_with_both_kinds_of_atom(self):
+        model = make_model(2, [("E1", 1), ("E2", 1)], [("n", "E1", "E2")])
+        b1, d1 = blowup_node(model, "n")
+        b2, d2 = blowup_smooth_point(b1, "exc_n")
+        blown = pb_limit_measure(model)
+        for dom in (d1, d2):
+            blown = lift_measure(blown, dom)
+        (smooth,) = d2.steps
+        comps = dict(blown.components, **{smooth.component: pb_descriptor(None, 1)})
+        mu = replace(blown, components=comps)
+        pushed = pushforward_measure(mu, compose_maps(d2, d1))
+        assert pushed.atoms == (Atom(EdgePoint("n", Fraction(1, 2)), Fraction(1)),)
+        mid = pushforward_measure(mu, d2)
+        assert mid.atoms == (Atom(smooth.point, Fraction(1)),)
+        mixed = replace(mid, atoms=mid.atoms + (Atom(EdgePoint("n_a", Fraction(1, 4)),
+                                                      Fraction(1, 3)),))
+        doc = measure_to_json(mixed)
+        assert doc["atoms"] == [
+            {"location": {"component": "exc_n", "point": smooth.location},
+             "mass": {"num": 1, "den": 1}},
+            {"location": {"edge": "n_a", "position": {"num": 1, "den": 4}},
+             "mass": {"num": 1, "den": 3}},
+        ]
+        total = mu.total_mass() + Fraction(1, 3)
+        assert doc["total"] == {"num": total.numerator, "den": total.denominator}
