@@ -1,9 +1,17 @@
 """Command line front end.
 
+``main`` parses the model file once for every subcommand.  Each failure
+about it prints once: ``path:line:col: error[code] subject: message`` for
+a validation violation (at the id it names, else at the ``model`` keyword;
+on stdout for ``validate``), ``path:line:col: error: message`` for a parse
+error or a refused model.  Failures with no place in the file (an
+unreadable file, a malformed option) print ``error: message``.
+
 Exit codes: 0 success, 1 input or validation problem, 2 internal
-consistency failure, 3 numerical non-convergence.  All output is
-deterministic for fixed inputs, so reruns are byte-identical: the numeric
-grids take no options.  ``verify --seed`` is accepted and ignored.
+consistency failure, 3 numerical non-convergence, 64 usage error
+(``EX_USAGE``).  All output is deterministic for fixed inputs, so reruns
+are byte-identical: the numeric grids take no options.  ``verify --seed``
+is accepted and ignored.
 """
 from __future__ import annotations
 
@@ -13,7 +21,7 @@ import sys
 
 from .dotio import emit_dot, emit_stable_dot
 from .dsl import ModelDocument, emit_model, parse_model
-from .errors import (CurveDegenError, InternalConsistencyError,
+from .errors import (CurveDegenError, InternalConsistencyError, ModelValidationError,
                      NumericalConvergenceError, ParseError)
 from .experiments import (norm_asymptotics_experiment, pairing_experiments,
                           region_mass_experiment)
@@ -25,20 +33,31 @@ from .limits import (dimension_summary, large_m_limit_fixed_divisor,
                      large_m_limit_fixed_qdivisor, ns_limit_measure,
                      pb_limit_measure, pushforward_to_fiber, pushforward_to_hyb,
                      stable_curve_ns_measure)
-from .model import DualGraphModel, validate
+from .model import ValidationReport, validate
 from .reduction import (StableDualGraph, essential_skeleton, minimal_snc_model,
                         stable_dual_graph)
 
 __all__ = ["main"]
 
 
-def _document(path: str) -> ModelDocument:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())
+def _error(message, path: str | None = None, where: tuple[int, int] | None = None,
+           label: str = "error", file=None) -> int:
+    """Print one diagnostic line, ``path:line:col: label: message`` when the
+    failure has a place in the model file and ``label: message`` otherwise;
+    return exit code 1."""
+    at = f"{path}:{where[0]}:{where[1]}: " if where else ""
+    print(f"{at}{label}: {message}", file=file or sys.stderr)
+    return 1
 
 
-def _load(path: str) -> DualGraphModel:
-    return _document(path).model
+def _print_report(path: str, doc: ModelDocument, report: ValidationReport, file):
+    """Every violation once, at the declaration of the id it names, or at
+    the ``model`` keyword when it names none."""
+    for kind, found in (("error", report.errors), ("warning", report.warnings)):
+        for v in found:
+            label = f"{kind}[{v.code}]" + (f" {v.subject}" if v.subject else "")
+            _error(v.message, path, doc.locations.get(v.subject, doc.locations["model"]),
+                   label, file)
 
 
 def _write(path: str | None, text: str):
@@ -47,26 +66,19 @@ def _write(path: str | None, text: str):
             fh.write(text)
 
 
-def _cmd_validate(args) -> int:
-    doc = _document(args.file)
+def _cmd_validate(args, doc: ModelDocument) -> int:
     report = validate(doc.model)
     if args.json:
         sys.stdout.write(dumps(report_to_json(report)))
     else:
         if report.ok:
             print("ok")
-        for kind, found in (("error", report.errors), ("warning", report.warnings)):
-            for v in found:
-                # point at the declaration of the id the violation names
-                loc = doc.location_of(v.subject)
-                where = f"{args.file}:{loc[0]}:{loc[1]}: " if loc else ""
-                print(f"{where}{kind}[{v.code}] {v.subject}: {v.message}")
+        _print_report(args.file, doc, report, sys.stdout)
     return 0 if report.ok else 1
 
 
-def _cmd_reduce(args) -> int:
-    model = _load(args.file)
-    reduced, dom = minimal_snc_model(model)
+def _cmd_reduce(args, doc: ModelDocument) -> int:
+    reduced, dom = minimal_snc_model(doc.model)
     if args.json:
         sys.stdout.write(dumps(map_to_json(dom)))
     else:
@@ -78,9 +90,8 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
-def _cmd_stable_graph(args) -> int:
-    model = _load(args.file)
-    graph = stable_dual_graph(model)
+def _cmd_stable_graph(args, doc: ModelDocument) -> int:
+    graph = stable_dual_graph(doc.model)
     if args.json:
         sys.stdout.write(dumps(graph_to_json(graph)))
     else:
@@ -93,9 +104,8 @@ def _cmd_stable_graph(args) -> int:
     return 0
 
 
-def _cmd_skeleton(args) -> int:
-    model = _load(args.file)
-    skel = essential_skeleton(model)
+def _cmd_skeleton(args, doc: ModelDocument) -> int:
+    skel = essential_skeleton(doc.model)
     if args.json:
         sys.stdout.write(dumps(skeleton_to_json(skel)))
     else:
@@ -105,9 +115,8 @@ def _cmd_skeleton(args) -> int:
     return 0
 
 
-def _cmd_dims(args) -> int:
-    model = _load(args.file)
-    summary = dimension_summary(model)
+def _cmd_dims(args, doc: ModelDocument) -> int:
+    summary = dimension_summary(doc.model)
     if args.json:
         sys.stdout.write(dumps(summary_to_json(summary)))
     else:
@@ -119,8 +128,8 @@ def _cmd_dims(args) -> int:
     return 0
 
 
-def _cmd_measure(args) -> int:
-    model = _load(args.file)
+def _cmd_measure(args, doc: ModelDocument) -> int:
+    model = doc.model
     if args.kind == "ns":
         measure = ns_limit_measure(model, estimate_genus0=args.estimate_genus0)
     else:
@@ -136,20 +145,15 @@ def _cmd_measure(args) -> int:
     return 0
 
 
-def _cmd_limit(args) -> int:
-    model = _load(args.file)
-    if args.mode == "fixed-B":
-        out = large_m_limit_fixed_divisor(model)
-    else:
-        out = large_m_limit_fixed_qdivisor(model)
-    sys.stdout.write(dumps(measure_to_json(out)))
+def _cmd_limit(args, doc: ModelDocument) -> int:
+    limit = {"fixed-B": large_m_limit_fixed_divisor,
+             "fixed-QB": large_m_limit_fixed_qdivisor}[args.mode]
+    sys.stdout.write(dumps(measure_to_json(limit(doc.model))))
     return 0
 
 
-def _cmd_stable_measure(args) -> int:
-    model = _load(args.file)
-    graph = stable_dual_graph(model)
-    out = stable_curve_ns_measure(graph)
+def _cmd_stable_measure(args, doc: ModelDocument) -> int:
+    out = stable_curve_ns_measure(stable_dual_graph(doc.model))
     sys.stdout.write(dumps(measure_to_json(out)))
     return 0
 
@@ -157,7 +161,7 @@ def _cmd_stable_measure(args) -> int:
 def _pick_chain(graph: StableDualGraph, chain_id: str | None):
     chains = sorted(graph.chains, key=lambda c: c.id)
     if not chains:
-        raise ParseError("the model has no skeleton chains to verify against")
+        raise ModelValidationError("the model has no skeleton chains to verify against")
     if chain_id is None:
         return chains[0]
     for ch in chains:
@@ -179,8 +183,8 @@ def _numbers(option: str, text: str, count: int | None = None) -> tuple[float, .
     return values
 
 
-def _cmd_verify(args) -> int:
-    model = _load(args.file)
+def _cmd_verify(args, doc: ModelDocument) -> int:
+    model = doc.model
     graph = stable_dual_graph(model)
     chain = _pick_chain(graph, args.chain)
     m = model.params.m
@@ -224,8 +228,17 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 64 (EX_USAGE), a code no other failure uses;
+    subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(64, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="curvedegen",
         description="Limit measures of degenerating one-parameter families of curves")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -233,33 +246,29 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, fn, help_text):
         q = sub.add_parser(name, help=help_text)
         q.set_defaults(fn=fn)
+        if name != "verify":  # verify names its file with --model
+            q.add_argument("file")
         return q
 
     q = add("validate", _cmd_validate, "check a model file")
-    q.add_argument("file")
     q.add_argument("--json", action="store_true")
 
     q = add("reduce", _cmd_reduce, "contract to the minimal snc model")
-    q.add_argument("file")
     q.add_argument("--json", action="store_true")
     q.add_argument("--dot", metavar="PATH")
     q.add_argument("--emit", metavar="PATH")
 
     q = add("stable-graph", _cmd_stable_graph, "stable dual graph with chain lengths")
-    q.add_argument("file")
     q.add_argument("--json", action="store_true")
     q.add_argument("--dot", metavar="PATH")
 
     q = add("skeleton", _cmd_skeleton, "essential skeleton edge lengths")
-    q.add_argument("file")
     q.add_argument("--json", action="store_true")
 
     q = add("dims", _cmd_dims, "section space dimension split over the graph")
-    q.add_argument("file")
     q.add_argument("--json", action="store_true")
 
     q = add("measure", _cmd_measure, "limit measure on the metrized curve complex")
-    q.add_argument("file")
     q.add_argument("--kind", choices=["ns", "pb"], required=True)
     q.add_argument("--push", choices=["cc", "hyb", "fiber"], default="cc")
     q.add_argument("--estimate-genus0", action="store_true",
@@ -268,13 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--dot", metavar="PATH", help="DOT file of the curve-complex masses")
 
     q = add("limit", _cmd_limit, "large-m limit of normalized vertex masses")
-    q.add_argument("file")
     q.add_argument("--mode", choices=["fixed-B", "fixed-QB"], required=True)
     q.add_argument("--json", action="store_true")
 
     q = add("stable-measure", _cmd_stable_measure,
             "limit measure of an unmarked stable curve")
-    q.add_argument("file")
     q.add_argument("--json", action="store_true")
 
     q = add("verify", _cmd_verify, "run a convergence experiment on node charts")
@@ -299,12 +306,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
+        with open(args.file, "r", encoding="utf-8") as fh:
+            doc = parse_model(fh.read())
+        return args.fn(args, doc)
+    except ParseError as err:  # a model file error, or a malformed option
+        return _error(err.message, args.file, (err.line, err.column) if err.line else None)
+    except ModelValidationError as err:
+        if err.report is None:
+            return _error(err, args.file, doc.locations["model"])
+        _print_report(args.file, doc, err.report, sys.stderr)
         return 1
     except InternalConsistencyError as err:
         print(f"internal consistency error: {err}", file=sys.stderr)
@@ -315,8 +327,7 @@ def main(argv=None) -> int:
         print(json.dumps(to_jsonable(details), sort_keys=True), file=sys.stderr)
         return 3
     except (CurveDegenError, OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return _error(err)
 
 
 if __name__ == "__main__":

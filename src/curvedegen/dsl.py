@@ -17,6 +17,13 @@ Vertices, edges and marks share one id namespace and must be declared
 before use.  ``group`` records that a mark sits at a shared location with
 every other mark carrying the same group label, which is how reduced
 models remember merged marks; emit/parse round-trips preserve it.
+
+The scanner decides each token's kind once, by the named group that
+matches it (``int``, ``name`` or ``sym``).  Every ``parse_model`` failure
+is a ``ParseError`` with a line and column: the token at fault, the point
+just past the last token at end of input, or the ``model`` keyword for the
+checks over the whole block, whose place ``ModelDocument.locations`` keeps
+under the key ``model`` (a keyword, so no id can take it).
 """
 from __future__ import annotations
 
@@ -28,86 +35,85 @@ from .model import Component, DualGraphModel, Edge, MarkedPoint, ModelParams
 
 __all__ = ["ModelDocument", "parse_model", "emit_model"]
 
-_TOKEN_RE = re.compile(r"--|[{}=;]|[A-Za-z_][A-Za-z0-9_]*|\d+|\S")
-_KEYWORDS = {"model", "vertex", "edge", "mark", "on", "coeff", "group",
-             "genus", "mult", "m"}
-
-
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    line: int
-    col: int
-
-    @property
-    def is_int(self) -> bool:
-        return self.text.isdigit()
-
-    @property
-    def is_name(self) -> bool:
-        return bool(re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", self.text))
-
-
-def _tokenize(text: str) -> list[_Token]:
-    out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0]
-        for match in _TOKEN_RE.finditer(body):
-            out.append(_Token(match.group(), lineno, match.start() + 1))
-    return out
+# the named group that matches is the token's kind
+_TOKEN_RE = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>--|\S)")
+_KEYWORDS = frozenset("model vertex edge mark on coeff group genus mult m".split())
 
 
 class _Parser:
+    """A cursor over (kind, text, line, column) token tuples."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.tokens = [(match.lastgroup, match.group(), lineno, match.start() + 1)
+                       for lineno, line in enumerate(text.splitlines(), start=1)
+                       for match in _TOKEN_RE.finditer(line.split("#", 1)[0])]
         self.pos = 0
 
-    def _fail(self, message: str, token: _Token | None = None):
-        tok = token if token is not None else self.peek()
+    def fail(self, message: str, token: tuple | None = None):
+        tok = token or self.peek()
         if tok is None:  # end of input: point just past the last token
-            last = self.tokens[-1] if self.tokens else _Token("", 1, 1)
-            raise ParseError(f"{message}, at end of input",
-                             line=last.line, column=last.col + len(last.text))
-        raise ParseError(message, line=tok.line, column=tok.col)
+            _, text, line, col = self.tokens[-1] if self.tokens else ("", "", 1, 1)
+            raise ParseError(f"{message}, at end of input", line=line, column=col + len(text))
+        raise ParseError(message, line=tok[2], column=tok[3])
 
-    def peek(self) -> _Token | None:
+    def peek(self) -> tuple | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def take(self, kind: str, message: str) -> tuple:
+        """The next token if it is of ``kind``; fails with ``message`` otherwise."""
+        tok = self.peek()
+        if tok is None or tok[0] != kind:
+            self.fail(message)
         self.pos += 1
         return tok
 
-    def expect(self, text: str) -> _Token:
+    def expect(self, text: str) -> tuple:
         tok = self.peek()
-        if tok is None or tok.text != text:
-            self._fail(f"expected {text!r}" + (f", found {tok.text!r}" if tok else ""))
-        return self.take()
+        if tok is None or tok[1] != text:
+            self.fail(f"expected {text!r}" + (f", found {tok[1]!r}" if tok else ""))
+        self.pos += 1
+        return tok
 
-    def expect_int(self, what: str) -> tuple[int, _Token]:
-        tok = self.peek()
-        if tok is None or not tok.is_int:
-            self._fail(f"expected an integer {what}")
-        return int(self.take().text), tok
+    def integer(self, what: str, positive: str = "") -> int:
+        """The next token as an integer, checked positive when ``positive``
+        names the quantity."""
+        tok = self.take("int", f"expected an integer {what}")
+        try:
+            value = int(tok[1])
+        except ValueError:  # more digits than int() converts
+            self.fail(f"integer {what} is too long", tok)
+        if positive and value < 1:
+            self.fail(f"{positive} must be positive", tok)
+        return value
 
-    def expect_name(self, what: str) -> _Token:
-        tok = self.peek()
-        if tok is None or not tok.is_name or tok.is_int:
-            self._fail(f"expected {what}")
-        return self.take()
+    def at(self, text: str) -> bool:
+        return self.pos < len(self.tokens) and self.tokens[self.pos][1] == text
 
     def skip_semis(self):
-        while (tok := self.peek()) is not None and tok.text == ";":
-            self.take()
+        while self.at(";"):
+            self.pos += 1
+
+    def statements(self, block: str):
+        """The first token of each statement in a block whose '{' was read,
+        consumed; the closing '}' ends the block."""
+        while True:
+            self.skip_semis()
+            tok = self.peek()
+            if tok is None:
+                self.fail(f"expected '}}' closing the {block} block")
+            self.pos += 1
+            if tok[1] == "}":
+                return
+            yield tok
 
 
 @dataclass(frozen=True)
 class ModelDocument:
     """A parsed model file.
 
-    Keeps a map from every declared id to the (line, column) of its
-    declaration, so later diagnostics can point back into the file the user
-    actually wrote.
+    Keeps a map from every declared id, and from the keyword ``model``, to
+    the (line, column) of its declaration, so later diagnostics can point
+    back into the file the user actually wrote.
     """
 
     model: DualGraphModel
@@ -120,126 +126,99 @@ class ModelDocument:
 def parse_model(text: str) -> ModelDocument:
     """Parse one model file (no validation run)."""
     p = _Parser(text)
-    p.expect("model")
+    head = p.expect("model")
     p.expect("{")
 
     m_value: int | None = None
     namespace: dict[str, str] = {}
-    locations: dict[str, tuple[int, int]] = {}
+    locations = {"model": head[2:]}
     vertices: list[Component] = []
     edges: list[Edge] = []
     marks: list[MarkedPoint] = []
     auto_edge = 0
 
-    def declare(tok: _Token, kind: str):
-        if tok.text in _KEYWORDS:
-            p._fail(f"{tok.text!r} is a keyword and cannot be an id", tok)
-        if tok.text in namespace:
-            p._fail(f"duplicate id {tok.text!r} (already a {namespace[tok.text]})", tok)
-        namespace[tok.text] = kind
-        locations[tok.text] = (tok.line, tok.col)
+    def declare(tok: tuple, kind: str) -> str:
+        ident = tok[1]
+        if ident in _KEYWORDS:
+            p.fail(f"{ident!r} is a keyword and cannot be an id", tok)
+        if ident in namespace:
+            p.fail(f"duplicate id {ident!r} (already a {namespace[ident]})", tok)
+        namespace[ident] = kind
+        locations[ident] = tok[2:]
+        return ident
 
-    def known_vertex(tok: _Token) -> str:
-        if namespace.get(tok.text) != "vertex":
-            p._fail(f"unknown vertex {tok.text!r}", tok)
-        return tok.text
+    def known_vertex(tok: tuple) -> str:
+        if namespace.get(tok[1]) != "vertex":
+            p.fail(f"unknown vertex {tok[1]!r}", tok)
+        return tok[1]
 
-    while True:
-        p.skip_semis()
-        tok = p.peek()
-        if tok is None:
-            p._fail("expected '}' closing the model block")
-        if tok.text == "}":
-            p.take()
-            break
-        if tok.text == "m":
-            p.take()
+    for tok in p.statements("model"):
+        word = tok[1]
+        if word == "m":
             p.expect("=")
-            value, vtok = p.expect_int("for m")
+            vtok = p.peek()
+            value = p.integer("for m")
             if m_value is not None:
-                p._fail("m was already set", tok)
+                p.fail("m was already set", tok)
             if value < 1:
-                p._fail("m must be positive", vtok)
+                p.fail("m must be positive", vtok)
             m_value = value
-        elif tok.text == "vertex":
-            p.take()
-            name = p.expect_name("a vertex id")
-            declare(name, "vertex")
+        elif word == "vertex":
+            name = declare(p.take("name", "expected a vertex id"), "vertex")
             genus, mult = 0, 1
             p.expect("{")
-            while True:
-                p.skip_semis()
-                inner = p.peek()
-                if inner is None:
-                    p._fail("expected '}' closing the vertex block")
-                if inner.text == "}":
-                    p.take()
-                    break
-                if inner.text == "genus":
-                    p.take()
-                    p.expect("=")
-                    genus, _ = p.expect_int("genus")
-                elif inner.text == "mult":
-                    p.take()
-                    p.expect("=")
-                    mult, mtok = p.expect_int("multiplicity")
-                    if mult < 1:
-                        p._fail("multiplicity must be positive", mtok)
+            for inner in p.statements("vertex"):
+                if inner[1] not in ("genus", "mult"):
+                    p.fail(f"unexpected {inner[1]!r} in vertex block", inner)
+                p.expect("=")
+                if inner[1] == "genus":
+                    genus = p.integer("genus")
                 else:
-                    p._fail(f"unexpected {inner.text!r} in vertex block", inner)
-            vertices.append(Component(name.text, genus, mult))
-        elif tok.text == "edge":
-            p.take()
-            first = p.expect_name("an edge id or vertex id")
-            nxt = p.peek()
-            if nxt is not None and nxt.text == "--":
-                eid = f"e{auto_edge}"
-                while eid in namespace:
+                    mult = p.integer("multiplicity", "multiplicity")
+            vertices.append(Component(name, genus, mult))
+        elif word == "edge":
+            first = p.take("name", "expected an edge id or vertex id")
+            if p.at("--"):  # no id given: the first free e<k>, placed at ``first``
+                while f"e{auto_edge}" in namespace:
                     auto_edge += 1
-                    eid = f"e{auto_edge}"
-                auto_edge += 1
-                namespace[eid] = "edge"
-                locations[eid] = (first.line, first.col)
+                eid = declare(("name", f"e{auto_edge}", *first[2:]), "edge")
                 a_tok = first
             else:
-                eid = first.text
-                declare(first, "edge")
-                a_tok = p.expect_name("a vertex id")
+                eid = declare(first, "edge")
+                a_tok = p.take("name", "expected a vertex id")
             a = known_vertex(a_tok)
             p.expect("--")
-            b_tok = p.expect_name("a vertex id")
-            b = known_vertex(b_tok)
-            if a == b:
-                p._fail(f"loop forbidden: {a} cannot be both endpoints", b_tok)
-            edges.append(Edge(eid, (a, b)))
-        elif tok.text == "mark":
-            p.take()
-            name = p.expect_name("a mark id")
-            declare(name, "mark")
+            b_tok = p.take("name", "expected a vertex id")
+            if a == known_vertex(b_tok):
+                p.fail(f"loop forbidden: {a} cannot be both endpoints", b_tok)
+            edges.append(Edge(eid, (a, b_tok[1])))
+        elif word == "mark":
+            name = declare(p.take("name", "expected a mark id"), "mark")
             p.expect("on")
-            host = known_vertex(p.expect_name("a vertex id"))
+            host = known_vertex(p.take("name", "expected a vertex id"))
             p.expect("coeff")
-            coeff, ctok = p.expect_int("coefficient")
-            if coeff < 1:
-                p._fail("mark coefficient must be positive", ctok)
+            coeff = p.integer("coefficient", "mark coefficient")
             group = None
-            nxt = p.peek()
-            if nxt is not None and nxt.text == "group":
-                p.take()
-                group = p.expect_name("a group label").text
-            marks.append(MarkedPoint(name.text, host, coeff, group))
+            if p.at("group"):
+                p.pos += 1
+                group = p.take("name", "expected a group label")[1]
+            marks.append(MarkedPoint(name, host, coeff, group))
         else:
-            p._fail(f"unexpected {tok.text!r} in model block", tok)
+            p.fail(f"unexpected {word!r} in model block", tok)
 
     p.skip_semis()
     if p.peek() is not None:
-        p._fail("trailing input after the model block")
+        p.fail("trailing input after the model block")
+    # checks over the whole block point at the model keyword
     if m_value is None:
-        raise ParseError("the model block never set m")
+        p.fail("the model block never set m", head)
     if not vertices:
-        raise ParseError("the model block declared no vertices")
-    model = DualGraphModel(ModelParams(m_value), tuple(vertices), tuple(edges),
-                           tuple(marks))
+        p.fail("the model block declared no vertices", head)
+    try:
+        model = DualGraphModel(ModelParams(m_value), tuple(vertices), tuple(edges),
+                               tuple(marks))
+    except ValueError as err:  # a merge group named like an ungrouped mark
+        p.fail(str(err), head)
     return ModelDocument(model, locations)
 
 

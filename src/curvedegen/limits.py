@@ -10,6 +10,7 @@ model at another power.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -308,15 +309,16 @@ def stable_curve_ns_measure(graph: StableDualGraph) -> FiberMeasure:
         raise ModelValidationError("stable curve graph is disconnected")
     if g < 2:
         raise ModelValidationError(f"stable curves here need genus >= 2, got {g}")
+    valency = Counter(v for ch in graph.chains for v in ch.endpoints)
     for v in graph.vertices:
-        if graph.genus[v] == 0 and graph.valency(v) < 3:
+        if graph.genus[v] == 0 and valency[v] < 3:
             raise ModelValidationError(
                 f"vertex {v}: rational components of a stable curve need "
                 "at least three nodes"
             )
     comps = {}
     for v in graph.vertices:
-        b = BundleDescriptor(v, graph.m, graph.genus[v], graph.valency(v), 0)
+        b = BundleDescriptor(v, graph.m, graph.genus[v], valency[v], 0)
         comps[v] = ns_descriptor(b) if h0(b) > 0 else zero_descriptor()
     node_atoms = {ch.id: Fraction(1) for ch in graph.chains}
     return FiberMeasure(graph, "ns", comps, node_atoms)

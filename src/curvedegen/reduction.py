@@ -312,9 +312,6 @@ class StableDualGraph:
     mark_degree: dict[str, int]
     chains: tuple[ChainEdge, ...]
 
-    def valency(self, vid: str) -> int:
-        return sum(ch.endpoints.count(vid) for ch in self.chains)
-
 
 def stable_graph(m, vertices, edges) -> StableDualGraph:
     """Directly build a stable graph; closed edges (self-nodes) allowed.

@@ -275,8 +275,86 @@ class TestValidatesOnce:
     def test_invalid_model_reported_once(self, files, capsys):
         assert main(["dims", files["excluded"]]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
+        assert err.startswith(f"{files['excluded']}:1:1: error[excluded-family]")
         assert err.count("excluded-family") == 1
+
+
+COMMANDS = [["validate"], ["reduce"], ["stable-graph"], ["skeleton"], ["dims"],
+            ["measure", "--kind", "ns"], ["measure", "--kind", "pb"],
+            ["limit", "--mode", "fixed-B"], ["limit", "--mode", "fixed-QB"],
+            ["stable-measure"], ["verify", "--experiment", "norm", "--model"]]
+
+# the genus is not a number: a parse error at 3:22
+UNPARSABLE = "model {\n  m = 2\n  vertex A { genus = x }\n}\n"
+
+# a mark out of range (it names P, declared at 4:8) on a disconnected model
+# (a violation naming no id, placed at the model keyword)
+SPLIT = """\
+model {
+  m = 3;
+  vertex A { genus = 2 }; vertex B { genus = 2 };
+  mark P on A coeff 5
+}
+"""
+
+# a genus-2 vertex with one unmarked rational tail at m = 3: valid, not minimal
+TAILED = "model { m = 3;\n vertex C { genus = 2 }; vertex T { genus = 0 };\n edge C -- T }\n"
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: " ".join(c[:2]))
+class TestDiagnostics:
+    """Every subcommand prints each model-file failure once, at its
+    path:line:col, in one format."""
+
+    def run(self, tmp_path, capsys, command, text):
+        path = tmp_path / "family.cdm"
+        path.write_text(text)
+        code = main([*command, str(path), "--logt", "10,100"] if command[0] == "verify"
+                    else [*command, str(path)])
+        out, err = capsys.readouterr()
+        return code, out, err, str(path)
+
+    def test_parse_error(self, tmp_path, capsys, command):
+        code, out, err, path = self.run(tmp_path, capsys, command, UNPARSABLE)
+        assert (code, out) == (1, "")
+        assert err == f"{path}:3:22: error: expected an integer genus\n"
+
+    @pytest.mark.parametrize("text, lines", [
+        (EXCLUDED, ["1:1: error[excluded-family]: genus-1 fibers without marks "
+                    "admit no sections for any m"]),
+        (SPLIT, ["4:8: error[mark-coefficient-range] P: mark P: coefficient 5 "
+                 "outside [1, 2]",
+                 "1:1: error[disconnected]: model must be connected"]),
+    ], ids=["excluded-family", "mark-range-and-disconnected"])
+    def test_violations(self, tmp_path, capsys, command, text, lines):
+        code, out, err, path = self.run(tmp_path, capsys, command, text)
+        report = "".join(f"{path}:{line}\n" for line in lines)
+        assert code == 1
+        assert (out, err) == ((report, "") if command == ["validate"] else ("", report))
+        assert "None" not in out + err
+
+    def test_refusal_without_report(self, tmp_path, capsys, command):
+        # only the commands that need a minimal or stable model refuse it
+        code, out, err, path = self.run(tmp_path, capsys, command, TAILED)
+        refused = command[0] in ("dims", "measure", "limit", "stable-measure")
+        assert code == (1 if refused else 0)
+        if refused:
+            assert out == ""
+            assert err.startswith(f"{path}:1:1: error: ")
+            assert err.count("\n") == 1
+        else:
+            assert err == ""
+
+    def test_usage_error(self, tmp_path, capsys, command):
+        path = tmp_path / "family.cdm"
+        path.write_text(DUMBBELL)
+        with pytest.raises(SystemExit) as info:
+            main([*command, str(path), "--no-such-flag"])
+        assert info.value.code == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: curvedegen")
+        assert err.endswith("error: unrecognized arguments: --no-such-flag\n")
 
 
 class TestVerify:
@@ -342,6 +420,14 @@ class TestVerify:
                 "--chain", "zz"]
         assert main(argv) == 1
         assert "no chain named" in capsys.readouterr().err
+
+    def test_model_without_chains_refused_at_its_keyword(self, tmp_path, capsys):
+        p = tmp_path / "single.cdm"
+        p.write_text("# one genus-2 component\nmodel { m = 2; vertex C { genus = 2 } }\n")
+        argv = ["verify", "--experiment", "norm", "--model", str(p)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"{p}:2:1: error: the model has no skeleton chains to verify against\n")
 
     def test_multi_node_chain_rejected_for_pairing(self, tmp_path, capsys):
         p = tmp_path / "mid.cdm"
@@ -422,6 +508,29 @@ class TestStartup:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv, message", [
+        (["measure", "{dumbbell}"], "the following arguments are required: --kind"),
+        (["limit", "{dumbbell}"], "the following arguments are required: --mode"),
+        (["skeleton", "{dumbbell}", "--dot", "x.dot"], "unrecognized arguments: --dot x.dot"),
+        ([], "the following arguments are required: command"),
+    ], ids=["no-kind", "no-mode", "unknown-flag", "no-subcommand"])
+    def test_usage_error_maps_to_sixty_four(self, files, capsys, argv, message):
+        # EX_USAGE: no other failure uses it, so a typo is told from a bug
+        with pytest.raises(SystemExit) as info:
+            main([a.format(**files) for a in argv])
+        assert info.value.code == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: curvedegen")
+        assert err.endswith(f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["measure", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: curvedegen")
+
     def test_internal_error_maps_to_two(self, files, monkeypatch, capsys):
         import curvedegen.cli as cli_mod
 
@@ -450,6 +559,22 @@ class TestExitCodes:
             "best": 0.5,
             "diagnostics": {"iterates": [0.25, 0.5], "region": [0.2, 0.4],
                             "w": {"re": 0.5, "im": 0.25}}}
+
+    def test_genus0_non_convergence_maps_to_three(self, files, monkeypatch, capsys):
+        import curvedegen.limits as limits
+
+        def stuck(*a, **k):
+            raise NumericalConvergenceError("mass did not settle", best=1.5,
+                                            diagnostics={"points": 4})
+
+        monkeypatch.setattr(limits, "ns_mass_genus0", stuck)
+        argv = ["measure", files["rational4"], "--kind", "ns", "--estimate-genus0"]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "numerical convergence failure: mass did not settle",
+            '{"best": 1.5, "diagnostics": {"points": 4}}']
 
     def test_non_finite_details_are_strict_json(self, files, monkeypatch, capsys):
         # an envelope that turns NaN at level 1 fails the build check; the

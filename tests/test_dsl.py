@@ -91,6 +91,7 @@ class TestParsing:
         assert doc.location_of("E1") == (3, 10)
         assert doc.location_of("n") == (5, 8)
         assert doc.location_of("nothing") is None
+        assert doc.location_of("model") == (1, 1)
 
 
 class TestParseErrors:
@@ -166,6 +167,33 @@ class TestParseErrors:
     def test_message_and_position(self, text, message, line, column):
         err = self.err(text)
         assert (err.message, err.line, err.column) == (message, line, column)
+
+    @pytest.mark.parametrize("text, message, line, column", [
+        # digits outside ASCII once reached int() and raised a bare ValueError
+        ("model {\n  m = \u00b2\n}", "expected an integer for m", 2, 7),
+        ("model { m = 2\n vertex A { genus = \u00b3 } }", "expected an integer genus",
+         2, 21),
+        ("model { m = 3\n vertex A { genus = 1 }\n mark P on A coeff \u00b2 }",
+         "expected an integer coefficient", 3, 20),
+        ("model { m = " + "1" * 5000 + " }", "integer for m is too long", 1, 13),
+    ], ids=["superscript-m", "superscript-genus", "superscript-coeff", "overlong-m"])
+    def test_every_integer_failure_is_located(self, text, message, line, column):
+        err = self.err(text)
+        assert (err.message, err.line, err.column) == (message, line, column)
+
+    @pytest.mark.parametrize("text, message", [
+        ("model { m = 2 }", "the model block declared no vertices"),
+        ("model { vertex A { genus = 1 } }", "the model block never set m"),
+        # the model rejects a merge group named like an ungrouped mark on its host
+        ("model { m = 3; vertex C { genus = 2 }\n mark Q on C coeff 1\n"
+         " mark P on C coeff 1 group Q }",
+         "mark P: merge group Q on C is named like the ungrouped mark Q there"),
+    ])
+    def test_block_errors_point_at_the_model_keyword(self, text, message):
+        err = self.err(text)
+        assert (err.message, err.line, err.column) == (message, 1, 1)
+        err = self.err("# leading comment\n\n  " + text)
+        assert (err.message, err.line, err.column) == (message, 3, 3)
 
     @pytest.mark.parametrize("text, line, column", [
         ("", 1, 1),

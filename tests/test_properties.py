@@ -11,6 +11,7 @@ the same examples.
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -27,6 +28,7 @@ from curvedegen import (
     LaurentFamily,
     ModelValidationError,
     NumericalConvergenceError,
+    ParseError,
     SectionSystem,
     SmoothCollapse,
     arithmetic_genus,
@@ -257,6 +259,37 @@ def test_emit_parse_keeps_the_isomorphism_class(model, seed):
     parsed = parse_model(text).model
     assert is_isomorphic(parsed, model)
     assert emit_model(parsed) == text
+
+
+_PIECES = re.compile(r"\s+|--|[{}=;]|\w+|\S")
+_SPLICED = ["\u00b2", "\u00b3", "\u0663", "0", "-1", "--", "{", "}", ";", "=", "#",
+            "model", "vertex", "edge", "mark", "on", "coeff", "group", "genus", "mult",
+            "m", "e0", "A", "\u00e9", "\n", "1" * 5000]
+edits = st.tuples(st.sampled_from(["drop", "replace", "insert", "swap"]),
+                  st.integers(min_value=0), st.sampled_from(_SPLICED))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(st.one_of(minimal_models, tailed_models(groups=True)),
+       st.lists(edits, min_size=1, max_size=3))
+def test_mutated_model_text_parses_or_fails_at_a_position(model, steps):
+    # token-level edits of emitted text: any failure must be a located ParseError
+    pieces = _PIECES.findall(emit_model(model))
+    for op, where, token in steps:
+        words = [i for i, piece in enumerate(pieces) if not piece.isspace()]
+        i = words[where % len(words)]
+        if op == "drop":
+            del pieces[i]
+        elif op == "replace":
+            pieces[i] = token
+        elif op == "insert":
+            pieces.insert(i, token + " ")
+        else:
+            pieces[i:i + 2] = pieces[i + 1:i + 2] + pieces[i:i + 1]
+    try:
+        parse_model("".join(pieces))
+    except ParseError as err:
+        assert err.line is not None and err.column is not None
 
 
 def _perturbed(model, rng):

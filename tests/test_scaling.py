@@ -12,6 +12,8 @@ from curvedegen import (
     is_isomorphic,
     make_model,
     minimal_snc_model,
+    stable_curve_ns_measure,
+    stable_dual_graph,
 )
 
 
@@ -57,3 +59,15 @@ def test_comb_of_four_hundred_reduces_in_four_hundred_steps():
     other, _ = minimal_snc_model(comb_model(400, seed=8))
     assert is_isomorphic(reduced, other)
     assert is_isomorphic(reduced, relabeled(reduced, random.Random(400)))
+
+
+def test_stable_measure_on_a_chain_of_ten_thousand_elliptic_components():
+    n = 10_000
+    model = make_model(2, [(f"E{i}", 1) for i in range(n)],
+                       [(f"E{i}", f"E{i + 1}") for i in range(n - 1)])
+    fm = stable_curve_ns_measure(stable_dual_graph(model))
+    assert len(fm.node_atoms) == n - 1
+    assert set(fm.node_atoms.values()) == {1}
+    valency = {cid: cm.bundle.valency for cid, cm in fm.components.items()}
+    assert valency == {f"E{i}": 1 if i in (0, n - 1) else 2 for i in range(n)}
+    assert {cm.kind for cm in fm.components.values()} == {"ns"}
