@@ -81,13 +81,6 @@ class ComponentClass:
     essential: bool
     type_one: bool  # True when h^0 of the twisted bundle is positive
 
-    @property
-    def labels(self) -> tuple[str, str]:
-        return (
-            "Essential" if self.essential else "Inessential",
-            "TypeI" if self.type_one else "TypeII",
-        )
-
 
 def classify_component(model: DualGraphModel, cid: str) -> ComponentClass:
     b = bundle_for(model, cid)

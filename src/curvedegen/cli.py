@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .dotio import emit_dot, emit_stable_dot
@@ -134,13 +135,8 @@ def _cmd_measure(args, doc: ModelDocument) -> int:
         measure = ns_limit_measure(model, estimate_genus0=args.estimate_genus0)
     else:
         measure = pb_limit_measure(model)
-    if args.push == "hyb":
-        out = pushforward_to_hyb(measure)
-    elif args.push == "fiber":
-        out = pushforward_to_fiber(measure)
-    else:
-        out = measure
-    sys.stdout.write(dumps(measure_to_json(out)))
+    push = {"hyb": pushforward_to_hyb, "fiber": pushforward_to_fiber}.get(args.push)
+    sys.stdout.write(dumps(measure_to_json(push(measure) if push else measure)))
     _write(args.dot, emit_dot(model, measure=measure))
     return 0
 
@@ -212,16 +208,7 @@ def _cmd_verify(args, doc: ModelDocument) -> int:
         r.metadata.update({"model_m": m, "chain": chain.id, "chain_nodes": l})
     text = "".join(r.to_columns() for r in results)
     if args.json:
-        docs = [{
-            "name": r.name,
-            "logt": list(r.logt_grid),
-            "observed": list(r.observed),
-            "reference": list(r.reference),
-            "rel_errors": list(r.rel_errors),
-            "fitted_exponent": r.fitted_exponent,
-            "metadata": r.metadata,
-        } for r in results]
-        sys.stdout.write(dumps(docs[0] if len(docs) == 1 else docs))
+        sys.stdout.write(dumps(results[0] if len(results) == 1 else results))
     else:
         sys.stdout.write(text)
     _write(args.columns, text)
@@ -229,8 +216,13 @@ def _cmd_verify(args, doc: ModelDocument) -> int:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Usage errors exit 64 (EX_USAGE), a code no other failure uses;
-    subparsers inherit the class."""
+    """Usage errors exit 64 (EX_USAGE), a code no other failure uses, and
+    a negative number in exponent form (``--correction -1e-3``) is a value,
+    not an unknown option; subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -30,7 +30,7 @@ class ExperimentResult:
     """One observable versus its limit prediction along a depth grid."""
 
     name: str
-    logt_grid: tuple[float, ...]
+    logt: tuple[float, ...]
     observed: tuple[float, ...]
     reference: tuple[float, ...]
     rel_errors: tuple[float, ...]
@@ -45,7 +45,7 @@ class ExperimentResult:
         if self.fitted_exponent is not None:
             lines.append(f"# fitted_exponent: {self.fitted_exponent:.6f}")
         lines.append("# columns: logt observed reference rel_error")
-        for L, obs, ref, err in zip(self.logt_grid, self.observed,
+        for L, obs, ref, err in zip(self.logt, self.observed,
                                     self.reference, self.rel_errors):
             lines.append(f"{L:.6e} {obs:.12e} {ref:.12e} {err:.12e}")
         return "\n".join(lines) + "\n"

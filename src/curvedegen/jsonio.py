@@ -1,21 +1,24 @@
 """JSON views of models, measures, and reports.
 
-Exact rationals serialize as {"num": ..., "den": ...}, the unknown mass
-as the string "unknown", numeric estimates as {"estimate": ..., "error":
-...}, and non-finite floats as the strings "nan", "inf" and "-inf", so
-every output is strict JSON.  ``dumps`` sorts keys, so equal objects
+A result type's view is its dataclass fields, each converted in turn;
+the functions below state only what differs from the fields.  Exact
+rationals serialize as {"num": ..., "den": ...}, the unknown mass as the
+string "unknown", numeric estimates as {"estimate": ..., "error": ...},
+and non-finite floats as the strings "nan", "inf" and "-inf", so every
+output is strict JSON.  ``dumps`` sorts keys, so equal objects
 always produce identical bytes.
 """
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 from .bundles import BundleDescriptor
 from .limits import DimensionSummary
-from .measures import (Atom, CCMeasure, ComponentMeasure, ComponentPoint,
-                       EdgePoint, Estimate, FiberMeasure, HybMeasure, Unknown)
+from .measures import (CCMeasure, ComponentMeasure, Estimate, FiberMeasure,
+                       HybMeasure, Unknown)
 from .model import DualGraphModel, ValidationReport
 from .reduction import DominationMap, NodeCollapse, Skeleton, SmoothCollapse, StableDualGraph
 
@@ -26,7 +29,8 @@ __all__ = ["to_jsonable", "dumps",
 
 
 def to_jsonable(value):
-    """Recursively convert masses, points and containers to JSON values."""
+    """Recursively convert masses, points, dataclasses and containers to
+    JSON values."""
     if isinstance(value, Fraction):
         return {"num": value.numerator, "den": value.denominator}
     if isinstance(value, Unknown):
@@ -35,16 +39,8 @@ def to_jsonable(value):
         return str(value)  # "nan", "inf" or "-inf"
     if isinstance(value, Estimate):
         return {"estimate": to_jsonable(value.value), "error": to_jsonable(value.error)}
-    if isinstance(value, ComponentPoint):
-        return {"component": value.component, "point": value.point}
-    if isinstance(value, EdgePoint):
-        return {"edge": value.edge, "position": to_jsonable(value.position)}
-    if isinstance(value, Atom):
-        return {"location": to_jsonable(value.location), "mass": to_jsonable(value.mass)}
     if isinstance(value, BundleDescriptor):
-        return {"component": value.component, "m": value.m, "genus": value.genus,
-                "valency": value.valency, "mark_degree": value.mark_degree,
-                "degree": value.degree}
+        return {**_fields(value), "degree": value.degree}
     if isinstance(value, ComponentMeasure):
         out = {"kind": value.kind, "total": to_jsonable(value.total)}
         if value.bundle is not None:
@@ -56,7 +52,15 @@ def to_jsonable(value):
         return [to_jsonable(v) for v in value]
     if isinstance(value, complex):
         return {"re": to_jsonable(value.real), "im": to_jsonable(value.imag)}
+    if is_dataclass(value):
+        return _fields(value)
     return value
+
+
+def _fields(value, *skip: str) -> dict:
+    """The JSON view of a dataclass instance: its fields but ``skip``."""
+    return {f.name: to_jsonable(getattr(value, f.name))
+            for f in fields(value) if f.name not in skip}
 
 
 def dumps(obj) -> str:
@@ -78,13 +82,7 @@ def model_to_json(model: DualGraphModel) -> dict:
 
 
 def report_to_json(report: ValidationReport) -> dict:
-    return {
-        "ok": report.ok,
-        "errors": [{"code": v.code, "message": v.message, "subject": v.subject}
-                   for v in report.errors],
-        "warnings": [{"code": v.code, "message": v.message, "subject": v.subject}
-                     for v in report.warnings],
-    }
+    return {"ok": report.ok, **_fields(report)}
 
 
 def graph_to_json(graph: StableDualGraph) -> dict:
@@ -114,10 +112,7 @@ def map_to_json(dom: DominationMap) -> dict:
     steps = []
     for step in dom.steps:
         if isinstance(step, SmoothCollapse):
-            steps.append({"type": "smooth-collapse", "component": step.component,
-                          "edge": step.edge, "host": step.host,
-                          "location": step.location,
-                          "moved_marks": list(step.moved_marks)})
+            steps.append({"type": "smooth-collapse", **_fields(step)})
         elif isinstance(step, NodeCollapse):
             steps.append({"type": "node-collapse", "component": step.component,
                           "edges": [step.edge_a, step.edge_b],
@@ -130,36 +125,18 @@ def map_to_json(dom: DominationMap) -> dict:
             "target": model_to_json(dom.target), "steps": steps}
 
 
+_SPACES = {CCMeasure: "curve-complex", HybMeasure: "hybrid-skeleton",
+           FiberMeasure: "limit-fiber"}
+
+
 def measure_to_json(measure) -> dict:
-    if isinstance(measure, CCMeasure):
-        return {
-            "space": "curve-complex",
-            "kind": measure.kind,
-            "components": {cid: to_jsonable(cm)
-                           for cid, cm in sorted(measure.components.items())},
-            "edges": to_jsonable(dict(sorted(measure.edges.items()))),
-            "atoms": to_jsonable(list(measure.atoms)),
-            "total": to_jsonable(measure.total_mass()),
-        }
-    if isinstance(measure, HybMeasure):
-        return {
-            "space": "hybrid-skeleton",
-            "kind": measure.kind,
-            "vertex_atoms": to_jsonable(dict(sorted(measure.vertex_atoms.items()))),
-            "edges": to_jsonable(dict(sorted(measure.edges.items()))),
-            "on_essential_skeleton": measure.on_essential_skeleton,
-            "total": to_jsonable(measure.total_mass()),
-        }
-    if isinstance(measure, FiberMeasure):
-        return {
-            "space": "limit-fiber",
-            "kind": measure.kind,
-            "components": {cid: to_jsonable(cm)
-                           for cid, cm in sorted(measure.components.items())},
-            "node_atoms": to_jsonable(dict(sorted(measure.node_atoms.items()))),
-            "total": to_jsonable(measure.total_mass()),
-        }
-    raise TypeError(f"not a measure: {measure!r}")
+    """The measure's fields but its model, with the space it lives on and
+    its total mass."""
+    space = _SPACES.get(type(measure))
+    if space is None:
+        raise TypeError(f"not a measure: {measure!r}")
+    return {"space": space, **_fields(measure, "model"),
+            "total": to_jsonable(measure.total_mass())}
 
 
 def summary_to_json(summary: DimensionSummary) -> dict:

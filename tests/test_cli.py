@@ -494,6 +494,17 @@ class TestVerify:
                        "(0, 1) exceeds 1e+150 in modulus: its square overflows a float\n")
         assert out == ""
 
+    @pytest.mark.parametrize("correction", ["-1e-3", "-2.5E+1", "-.5e0"])
+    def test_negative_exponent_is_a_value(self, files, capsys, correction):
+        # argparse once read "-1e-3" as an unknown option and exited 64
+        argv = ["verify", "--experiment", "norm", "--model", files["dumbbell"],
+                "--logt", "100,1000"]
+        assert main(argv + ["--correction", correction]) == 0
+        apart = capsys.readouterr()
+        assert main(argv + [f"--correction={correction}"]) == 0
+        assert capsys.readouterr() == apart
+        assert apart.err == "" and apart.out.startswith("# experiment: norm-asymptotics")
+
 
 class TestStartup:
     def test_import_loads_no_scipy(self):
@@ -513,7 +524,12 @@ class TestExitCodes:
         (["limit", "{dumbbell}"], "the following arguments are required: --mode"),
         (["skeleton", "{dumbbell}", "--dot", "x.dot"], "unrecognized arguments: --dot x.dot"),
         ([], "the following arguments are required: command"),
-    ], ids=["no-kind", "no-mode", "unknown-flag", "no-subcommand"])
+        (["verify", "--experiment", "norm", "--model", "{dumbbell}", "--correction", "-e3"],
+         "argument --correction: expected one argument"),
+        (["verify", "--experiment", "norm", "--model", "{dumbbell}", "--bogus", "-1e-3"],
+         "unrecognized arguments: --bogus -1e-3"),
+    ], ids=["no-kind", "no-mode", "unknown-flag", "no-subcommand", "flag-as-value",
+            "unknown-flag-then-number"])
     def test_usage_error_maps_to_sixty_four(self, files, capsys, argv, message):
         # EX_USAGE: no other failure uses it, so a typo is told from a bug
         with pytest.raises(SystemExit) as info:

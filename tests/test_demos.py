@@ -11,8 +11,9 @@ import curvedegen
 ROOT = Path(__file__).resolve().parents[1]
 
 
-# sphere_mass.py takes about 18 s and is left out until genus-0 masses get
-# faster; these three take about 2 s together
+# sphere_mass.py takes about 9 s (2-vCPU host, Python 3.11) and is left out
+# because the whole suite already runs close to its 45-s target; these three
+# take about 2 s together
 @pytest.mark.parametrize("script", ["limit_measures_tour.py",
                                     "node_chart_convergence.py",
                                     "reduction_walkthrough.py"])
