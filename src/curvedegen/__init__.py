@@ -7,7 +7,7 @@ curve complexes, and their pushforwards.  The numerical half checks the
 local convergence statements behind those limits on annular node charts
 and computes sup-type masses on marked rational curves.
 """
-from .bundles import BundleDescriptor, ComponentClass, bundle_for, classify_component, h0
+from .bundles import BundleDescriptor, bundle_for, h0
 from .errors import (
     CurveDegenError,
     InternalConsistencyError,
@@ -90,7 +90,6 @@ from .reduction import (
     minimal_snc_model,
     pushforward_measure,
     stable_dual_graph,
-    stable_graph,
 )
 
 __version__ = "0.1.0"

@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalConsistencyError
-from .model import DualGraphModel, is_inessential
+from .model import DualGraphModel
 
-__all__ = ["BundleDescriptor", "bundle_for", "h0", "ComponentClass", "classify_component"]
+__all__ = ["BundleDescriptor", "bundle_for", "h0"]
 
 
 @dataclass(frozen=True)
@@ -72,20 +72,3 @@ def h0(bundle: BundleDescriptor) -> int:
         )
     return d - g + 1
 
-
-@dataclass(frozen=True)
-class ComponentClass:
-    """Essential/inessential and whether any sections survive on it."""
-
-    component: str
-    essential: bool
-    type_one: bool  # True when h^0 of the twisted bundle is positive
-
-
-def classify_component(model: DualGraphModel, cid: str) -> ComponentClass:
-    b = bundle_for(model, cid)
-    return ComponentClass(
-        component=cid,
-        essential=not is_inessential(b.genus, b.valency, b.mark_degree),
-        type_one=h0(b) > 0,
-    )

@@ -217,12 +217,14 @@ def _cmd_verify(args, doc: ModelDocument) -> int:
 
 class _ArgumentParser(argparse.ArgumentParser):
     """Usage errors exit 64 (EX_USAGE), a code no other failure uses, and
-    a negative number in exponent form (``--correction -1e-3``) is a value,
-    not an unknown option; subparsers inherit the class."""
+    a token of ``-`` followed by a digit, ``.digit``, ``inf`` or ``nan``
+    (``--correction -1e-3``, ``--logt -1e2,1e3``, ``--correction -inf``)
+    is a value for the option's own check, not an unknown option;
+    subparsers inherit the class."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)

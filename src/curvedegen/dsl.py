@@ -119,9 +119,6 @@ class ModelDocument:
     model: DualGraphModel
     locations: dict[str, tuple[int, int]]
 
-    def location_of(self, ident: str) -> tuple[int, int] | None:
-        return self.locations.get(ident)
-
 
 def parse_model(text: str) -> ModelDocument:
     """Parse one model file (no validation run)."""

@@ -103,7 +103,7 @@ def skeleton_to_json(skeleton: Skeleton) -> dict:
     return {
         "model": model_to_json(skeleton.model),
         "is_essential_skeleton": skeleton.is_essential_skeleton,
-        "edge_lengths": to_jsonable(dict(sorted(skeleton.edge_lengths().items()))),
+        "edge_lengths": to_jsonable(skeleton.edge_lengths()),
         "total_length": to_jsonable(skeleton.total_length()),
     }
 
@@ -140,11 +140,4 @@ def measure_to_json(measure) -> dict:
 
 
 def summary_to_json(summary: DimensionSummary) -> dict:
-    return {
-        "m": summary.m,
-        "genus": summary.genus,
-        "mark_degree": summary.mark_degree,
-        "dimension": summary.M,
-        "skeleton_edges": summary.skeleton_edges,
-        "vertex_h0": dict(sorted(summary.vertex_h0.items())),
-    }
+    return {**_fields(summary, "M"), "dimension": summary.M}

@@ -16,7 +16,6 @@ __all__ = [
     "Unknown",
     "UNKNOWN",
     "Estimate",
-    "MassValue",
     "mass_add",
     "mass_sum",
     "mass_is_zero",
@@ -58,9 +57,6 @@ class Estimate:
     error: float
 
 
-MassValue = object  # Fraction | Unknown | Estimate
-
-
 def mass_add(a, b):
     if isinstance(a, Unknown) or isinstance(b, Unknown):
         return UNKNOWN
@@ -94,7 +90,7 @@ class ComponentMeasure:
     """
 
     kind: str
-    total: MassValue
+    total: Fraction | Unknown | Estimate
     bundle: object = None
 
     def __post_init__(self):
@@ -135,7 +131,7 @@ class EdgePoint:
 @dataclass(frozen=True)
 class Atom:
     location: object  # ComponentPoint | EdgePoint
-    mass: MassValue
+    mass: Fraction | Unknown | Estimate
 
 
 @dataclass(frozen=True)
@@ -163,7 +159,7 @@ class HybMeasure:
 
     model: object
     kind: str
-    vertex_atoms: dict[str, MassValue]
+    vertex_atoms: dict[str, Fraction | Unknown | Estimate]
     edges: dict[str, Fraction]
     on_essential_skeleton: bool = True
 
@@ -178,7 +174,7 @@ class FiberMeasure:
     model: object
     kind: str
     components: dict[str, ComponentMeasure]
-    node_atoms: dict[str, MassValue]  # keyed by edge id
+    node_atoms: dict[str, Fraction | Unknown | Estimate]  # keyed by edge id
 
     def total_mass(self):
         return mass_sum((cm.total for cm in self.components.values()),

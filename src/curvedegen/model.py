@@ -173,9 +173,6 @@ class DualGraphModel:
     def mark(self, pid: str) -> MarkedPoint:
         return self._marks[pid]
 
-    def component_ids(self) -> tuple[str, ...]:
-        return tuple(c.id for c in self.components)
-
     def edges_at(self, cid: str) -> tuple[Edge, ...]:
         return self._incident[cid]
 

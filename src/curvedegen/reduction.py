@@ -40,10 +40,10 @@ __all__ = [
     "DominationMap",
     "compose_maps",
     "minimal_snc_model",
+    "is_minimal",
     "ChainEdge",
     "StableDualGraph",
     "stable_dual_graph",
-    "stable_graph",
     "Skeleton",
     "essential_skeleton",
     "blowup_smooth_point",
@@ -141,23 +141,6 @@ class DominationMap:
                     return f"collapsed-to-point({s.host}:{s.location})"
                 return f"collapsed-to-point({s.merged_edge}@{s.length_a})"
         return "kept"
-
-    def edge_fate(self, eid: str) -> str:
-        for s in self.steps:
-            if isinstance(s, SmoothCollapse) and s.edge == eid:
-                return "collapsed"
-            if isinstance(s, NodeCollapse) and eid in (s.edge_a, s.edge_b):
-                return f"merged-into({s.merged_edge})"
-        return "kept"
-
-    def subdivision_of(self, eid: str) -> tuple[str, ...]:
-        """Source edges a target edge is subdivided into (inverse fate)."""
-        parts = [eid]
-        for s in reversed(self.steps):
-            if isinstance(s, NodeCollapse) and s.merged_edge in parts:
-                i = parts.index(s.merged_edge)
-                parts[i:i + 1] = [s.edge_a, s.edge_b]
-        return tuple(parts)
 
 
 def compose_maps(outer: DominationMap, inner: DominationMap) -> DominationMap:
@@ -311,20 +294,6 @@ class StableDualGraph:
     genus: dict[str, int]
     mark_degree: dict[str, int]
     chains: tuple[ChainEdge, ...]
-
-
-def stable_graph(m, vertices, edges) -> StableDualGraph:
-    """Directly build a stable graph; closed edges (self-nodes) allowed.
-
-    vertices: (id, genus) pairs; edges: (a, b) pairs, possibly a == b.
-    """
-    vids = tuple(v[0] for v in vertices)
-    genus = {v[0]: v[1] for v in vertices}
-    chains = tuple(
-        ChainEdge(f"ch{i}", (a, b), (f"ch{i}",), (), Fraction(1))
-        for i, (a, b) in enumerate(edges)
-    )
-    return StableDualGraph(m, vids, genus, {v: 0 for v in vids}, chains)
 
 
 def stable_dual_graph(model: DualGraphModel) -> StableDualGraph:

@@ -5,11 +5,11 @@ from corpus import minimal_corpus
 from curvedegen import (
     InternalConsistencyError,
     bundle_for,
-    classify_component,
     dimension_summary,
     h0,
     make_model,
 )
+from curvedegen.model import is_inessential
 
 
 def test_degree_formula():
@@ -54,22 +54,22 @@ def test_h0_with_overridden_m():
 def test_classification_inessential_type_two():
     model = make_model(2, [("E1", 1), ("F", 0), ("E2", 1)],
                        [("E1", "F"), ("F", "E2")])
-    cc = classify_component(model, "F")
-    assert not cc.essential and not cc.type_one
+    b = bundle_for(model, "F")
+    assert is_inessential(b.genus, b.valency, b.mark_degree) and not h0(b) > 0
 
 
 def test_classification_rational_trivalent_essential_type_two():
     model = make_model(2, [("R", 0), ("A", 1), ("B", 1), ("C", 1)],
                        [("R", "A"), ("R", "B"), ("R", "C")])
-    cc = classify_component(model, "R")
-    assert cc.essential and not cc.type_one
+    b = bundle_for(model, "R")
+    assert not is_inessential(b.genus, b.valency, b.mark_degree) and not h0(b) > 0
 
 
 def test_classification_genus1_leaf_type_one():
     model = make_model(3, [("A", 1), ("C", 2)], [("A", "C")])
-    cc = classify_component(model, "A")
-    assert cc.essential and cc.type_one
-    assert h0(bundle_for(model, "A")) == 3 - 1  # d = m - 1
+    b = bundle_for(model, "A")
+    assert not is_inessential(b.genus, b.valency, b.mark_degree) and h0(b) > 0
+    assert h0(b) == 3 - 1  # d = m - 1
 
 
 class TestDimensionSummary:

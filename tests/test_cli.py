@@ -242,6 +242,36 @@ class TestMeasures:
         assert doc["node_atoms"]["ch0"] == {"num": 1, "den": 1}
         assert doc["total"] == "unknown"
 
+    @pytest.mark.parametrize("text, kinds, nodes, total", [
+        # C's cycle through three inessential rational vertices is one closed chain
+        ("model { m = 2; vertex C { genus = 2 }; vertex F1 { genus = 0 };"
+         " vertex F2 { genus = 0 }; vertex F3 { genus = 0 };"
+         " edge C -- F1; edge F1 -- F2; edge F2 -- F3; edge F3 -- C }",
+         {"C": "ns"}, 1, "unknown"),
+        # theta graph: two rational vertices joined by three edges
+        ("model { m = 2; vertex A { genus = 0 }; vertex B { genus = 0 };"
+         " edge A -- B; edge A -- B; edge A -- B }",
+         {"A": "zero", "B": "zero"}, 3, {"num": 3, "den": 1}),
+    ], ids=["closed-chain", "theta"])
+    def test_stable_measure_graphs(self, tmp_path, capsys, text, kinds, nodes, total):
+        path = tmp_path / "graph.cdm"
+        path.write_text(text)
+        assert main(["stable-measure", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert {v: c["kind"] for v, c in doc["components"].items()} == kinds
+        one = {"num": 1, "den": 1}
+        assert doc["node_atoms"] == {f"ch{i}": one for i in range(nodes)}
+        assert doc["total"] == total
+
+    def test_stable_measure_refuses_rational_tail(self, tmp_path, capsys):
+        path = tmp_path / "tail.cdm"
+        path.write_text(TAILED)
+        assert main(["stable-measure", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"{path}:1:1: error: vertex T: rational components of a "
+                       "stable curve need at least three nodes\n")
+
     def test_genus0_estimate(self, files, capsys):
         # four weight-one marks at m = 2 leave one section, so the mass is 1
         assert main(["measure", files["rational4"], "--kind", "ns",
@@ -494,6 +524,21 @@ class TestVerify:
                        "(0, 1) exceeds 1e+150 in modulus: its square overflows a float\n")
         assert out == ""
 
+    @pytest.mark.parametrize("option, value", [
+        ("--logt", "-1e2,1e3"), ("--region", "-0.1,0.3"),
+        ("--correction", "-inf"), ("--correction", "-nan"),
+    ])
+    def test_minus_sign_value_matches_equals_form(self, files, capsys, option, value):
+        # argparse once read these as options and exited 64 with
+        # "expected one argument"; they belong to the option's own check
+        argv = ["verify", "--experiment", "region-mass", "--model", files["dumbbell"],
+                "--logt", "100,1000"]
+        assert main(argv + [option, value]) == 1
+        apart = capsys.readouterr()
+        assert main(argv + [f"{option}={value}"]) == 1
+        assert capsys.readouterr() == apart
+        assert apart.out == "" and apart.err.startswith("error: ")
+
     @pytest.mark.parametrize("correction", ["-1e-3", "-2.5E+1", "-.5e0"])
     def test_negative_exponent_is_a_value(self, files, capsys, correction):
         # argparse once read "-1e-3" as an unknown option and exited 64
@@ -528,8 +573,10 @@ class TestExitCodes:
          "argument --correction: expected one argument"),
         (["verify", "--experiment", "norm", "--model", "{dumbbell}", "--bogus", "-1e-3"],
          "unrecognized arguments: --bogus -1e-3"),
+        (["verify", "--experiment", "norm", "--model", "{dumbbell}", "--correction", "-x"],
+         "argument --correction: expected one argument"),
     ], ids=["no-kind", "no-mode", "unknown-flag", "no-subcommand", "flag-as-value",
-            "unknown-flag-then-number"])
+            "unknown-flag-then-number", "letter-after-minus"])
     def test_usage_error_maps_to_sixty_four(self, files, capsys, argv, message):
         # EX_USAGE: no other failure uses it, so a typo is told from a bug
         with pytest.raises(SystemExit) as info:

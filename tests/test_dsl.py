@@ -88,10 +88,10 @@ class TestParsing:
     def test_location_map(self):
         doc = parse_model("model {\n  m = 2\n  vertex E1 { genus = 1 }\n"
                           "  vertex E2 { genus = 1 }\n  edge n E1 -- E2\n}")
-        assert doc.location_of("E1") == (3, 10)
-        assert doc.location_of("n") == (5, 8)
-        assert doc.location_of("nothing") is None
-        assert doc.location_of("model") == (1, 1)
+        assert doc.locations.get("E1") == (3, 10)
+        assert doc.locations.get("n") == (5, 8)
+        assert doc.locations.get("nothing") is None
+        assert doc.locations.get("model") == (1, 1)
 
 
 class TestParseErrors:

@@ -1,5 +1,6 @@
-"""numpy loads on first numeric use, never on the exact path, and every
-public name a module lists resolves.
+"""numpy loads on first numeric use, never on the exact path, every
+public name a module lists resolves, and the package's public names are
+pinned.
 
 Each numpy check runs in a fresh interpreter, since this test process has
 long since imported numpy.
@@ -9,6 +10,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -90,3 +92,35 @@ def test_every_listed_name_resolves(name):
     module = importlib.import_module(f"curvedegen.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+PUBLIC = """
+    Atom BundleDescriptor CCMeasure ChainEdge Component ComponentMeasure
+    ComponentPoint CurveDegenError DimensionSummary DominationMap DualGraphModel
+    Edge EdgePoint Estimate ExperimentResult FiberMeasure HybMeasure
+    InternalConsistencyError LaurentFamily LiftError MarkedPoint ModelDocument
+    ModelParams ModelValidationError NodeCollapse NumericalConvergenceError
+    OptimizerSpec ParseError SectionSystem Skeleton SmoothCollapse
+    StableDualGraph UNKNOWN Unknown ValidationReport Violation arithmetic_genus
+    blowup_node blowup_smooth_point bundle_for canonical_form compose_maps
+    dimension_summary emit_dot emit_model emit_stable_dot essential_skeleton
+    generic_configuration h0 is_isomorphic is_minimal large_m_limit_fixed_divisor
+    large_m_limit_fixed_qdivisor lift_measure make_model minimal_snc_model
+    moebius_points norm_asymptotics_experiment ns_density ns_limit_measure
+    ns_mass_genus0 pairing_experiments pairing_matrix parse_model pb_density
+    pb_limit_measure pseudonorm pushforward_measure pushforward_to_fiber
+    pushforward_to_hyb region_mass_experiment region_tau_mass require_valid
+    stable_curve_ns_measure stable_dual_graph total_mark_degree validate
+""".split()
+
+
+def test_public_names_pinned():
+    # adding or deleting a public name has to edit this list
+    exported = {n: v for n, v in vars(curvedegen).items()
+                if not n.startswith("_") and not isinstance(v, types.ModuleType)}
+    assert sorted(exported) == PUBLIC
+    # each is listed by the module that defines it (errors.py lists none)
+    unlisted = [n for n, v in exported.items()
+                if v.__module__ != "curvedegen.errors"
+                and n not in sys.modules[v.__module__].__all__]
+    assert unlisted == []

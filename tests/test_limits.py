@@ -9,10 +9,12 @@ from curvedegen import (
     UNKNOWN,
     Atom,
     CCMeasure,
+    ChainEdge,
     ComponentPoint,
     EdgePoint,
     Estimate,
     ModelValidationError,
+    StableDualGraph,
     Unknown,
     arithmetic_genus,
     bundle_for,
@@ -29,7 +31,6 @@ from curvedegen import (
     pushforward_to_hyb,
     stable_curve_ns_measure,
     stable_dual_graph,
-    stable_graph,
     total_mark_degree,
 )
 
@@ -329,24 +330,30 @@ class TestStableCurveMeasure:
             stable_curve_ns_measure(graph)
 
     def test_unstable_rational_vertex_rejected(self):
-        graph = stable_graph(3, [("A", 1), ("R", 0), ("B", 1)],
-                             [("A", "R"), ("R", "B")])
-        with pytest.raises(ModelValidationError):
+        # an unmarked rational tail has one node
+        graph = stable_dual_graph(make_model(3, [("C", 2), ("L", 0)], [("C", "L")]))
+        with pytest.raises(ModelValidationError, match="at least three nodes"):
             stable_curve_ns_measure(graph)
 
     def test_theta_graph_accepted(self):
         # two rational vertices, three parallel edges: genus 2, stable
-        graph = stable_graph(2, [("A", 0), ("B", 0)],
-                             [("A", "B"), ("A", "B"), ("A", "B")])
+        graph = stable_dual_graph(make_model(2, [("A", 0), ("B", 0)],
+                                             [("A", "B"), ("A", "B"), ("A", "B")]))
         fm = stable_curve_ns_measure(graph)
         assert sorted(fm.node_atoms.values()) == [1, 1, 1]
 
+    # no valid model yields the two graphs below, so they are built directly
+
     def test_low_genus_rejected(self):
+        graph = StableDualGraph(2, ("A",), {"A": 1}, {"A": 0}, ())
         with pytest.raises(ModelValidationError, match="genus"):
-            stable_curve_ns_measure(stable_graph(2, [("A", 1)], []))
+            stable_curve_ns_measure(graph)
 
     def test_disconnected_graph_rejected(self):
-        graph = stable_graph(2, [("A", 2), ("B", 2), ("C", 0)],
-                             [("A", "B"), ("C", "C"), ("C", "C")])
+        # C carries two closed edges (self-nodes) and touches neither A nor B
+        chains = tuple(ChainEdge(f"ch{i}", ends, (f"ch{i}",), (), Fraction(1))
+                       for i, ends in enumerate([("A", "B"), ("C", "C"), ("C", "C")]))
+        graph = StableDualGraph(2, ("A", "B", "C"), {"A": 2, "B": 2, "C": 0},
+                                {"A": 0, "B": 0, "C": 0}, chains)
         with pytest.raises(ModelValidationError, match="disconnected"):
             stable_curve_ns_measure(graph)

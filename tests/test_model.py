@@ -220,7 +220,7 @@ class TestIsomorphism:
     def test_random_relabeling_roundtrip(self):
         rng = random.Random(404)
         for model in minimal_corpus(seed=404, count=25):
-            names = list(model.component_ids())
+            names = [c.id for c in model.components]
             shuffled = names[:]
             rng.shuffle(shuffled)
             table = dict(zip(names, shuffled))
